@@ -1,6 +1,6 @@
 """Biobjective bin packing: minimize bin count and average bin heterogeneousness."""
 
-from .archive import ParetoArchive, merge
+from .archive import ParetoArchive
 from .construct import (
     Heuristic,
     Ordering,
@@ -64,7 +64,6 @@ __all__ = [
     "format_z2",
     "generate_instance",
     "heterogeneousness_levels",
-    "merge",
     "order_items",
     "random_fit_bin",
     "read_instance",

@@ -2,32 +2,33 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
-from .model import ObjectiveVector, Solution, dominates
+from .model import ObjectiveVector, dominates
 
 
 class ParetoArchive:
-    """Mutable antichain of (objective vector, witness solution) pairs.
+    """Mutable antichain of (objective vector, witness) pairs.
 
-    On identical vectors the first-seen witness is kept, so a seeded run
-    always reports the same solutions. Dominance checks are linear scans;
-    archives for this problem stay tiny.
+    The witness is opaque to the archive: sweeps store a `Solution`, the
+    oracle a compact label tuple. On identical vectors the first-seen
+    witness is kept, so a seeded run always reports the same packings.
+    Dominance checks are linear scans; archives for this problem stay tiny.
     """
 
     def __init__(self) -> None:
-        self._entries: list[tuple[ObjectiveVector, Solution]] = []
+        self._entries: list[tuple[ObjectiveVector, Any]] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __iter__(self) -> Iterator[tuple[ObjectiveVector, Solution]]:
+    def __iter__(self) -> Iterator[tuple[ObjectiveVector, Any]]:
         return iter(self._entries)
 
     def vectors(self) -> list[ObjectiveVector]:
         return [vector for vector, _ in self._entries]
 
-    def update(self, vector: ObjectiveVector, solution: Solution) -> bool:
+    def update(self, vector: ObjectiveVector, witness: Any) -> bool:
         """Offer a candidate, evicting every entry it dominates.
 
         Returns True when the candidate joined the archive, False when an
@@ -37,26 +38,9 @@ class ParetoArchive:
             if incumbent == vector or dominates(incumbent, vector):
                 return False
         self._entries = [(v, s) for v, s in self._entries if not dominates(vector, v)]
-        self._entries.append((vector, solution))
+        self._entries.append((vector, witness))
         return True
 
-    def sorted_entries(self) -> list[tuple[ObjectiveVector, Solution]]:
+    def sorted_entries(self) -> list[tuple[ObjectiveVector, Any]]:
         """Entries in reporting order: bin count descending, heterogeneousness ascending."""
         return sorted(self._entries, key=lambda entry: (-entry[0].z1, entry[0].z2))
-
-    def copy(self) -> "ParetoArchive":
-        duplicate = ParetoArchive()
-        duplicate._entries = list(self._entries)
-        return duplicate
-
-
-def merge(a: ParetoArchive, b: ParetoArchive) -> ParetoArchive:
-    """Combine two archives built from the same instance into a fresh one.
-
-    Equivalent to replaying every entry of b through update on a copy of a;
-    the resulting vector set does not depend on the argument order.
-    """
-    combined = a.copy()
-    for vector, solution in b:
-        combined.update(vector, solution)
-    return combined

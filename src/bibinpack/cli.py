@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 from .archive import ParetoArchive
 from .construct import Heuristic, Ordering, SweepParams, run_sweep
 from .instances import generate_instance, read_instance, write_instance
-from .model import Instance, ObjectiveVector, dominates, format_z2
+from .model import Instance, format_z2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,14 +68,12 @@ def run_experiment(
     instance: Instance,
     heuristics: list[Heuristic],
     orderings: list[Ordering],
-    *,
-    step: Fraction,
-    reps: int,
-    seed: int,
+    params: SweepParams,
     out_dir: Path,
 ) -> Path:
     """Run every requested (heuristic, ordering) cell and write the report files.
 
+    Each cell sweeps with `params`, its heuristic and ordering replaced.
     results.csv is byte-stable for a given invocation; per-cell wall-clock
     goes to timings.csv, which is not. Returns the results path.
     """
@@ -80,15 +81,9 @@ def run_experiment(
     timings: list[tuple[Heuristic, Ordering, float]] = []
     for heuristic in heuristics:
         for ordering in orderings:
-            params = SweepParams(
-                step=step,
-                solutions_per_level=reps,
-                rng_seed=seed,
-                heuristic=heuristic,
-                ordering=ordering,
-            )
+            cell_params = replace(params, heuristic=heuristic, ordering=ordering)
             started = time.perf_counter()
-            archive = run_sweep(instance, params)
+            archive = run_sweep(instance, cell_params)
             elapsed = time.perf_counter() - started
             cells.append((heuristic, ordering, archive))
             timings.append((heuristic, ordering, elapsed))
@@ -101,31 +96,39 @@ def run_experiment(
 
 
 def _write_results(path: Path, cells: list[Cell]) -> None:
-    union = {vector for _, _, archive in cells for vector in archive.vectors()}
-
-    def is_best(vector: ObjectiveVector) -> bool:
-        return not any(dominates(other, vector) for other in union)
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["heuristic", "order", "z1", "z2", "best"])
-        for heuristic, ordering, archive in cells:
-            for vector, _ in archive.sorted_entries():
-                writer.writerow([
-                    heuristic.value,
-                    ordering.value,
-                    vector.z1,
-                    format_z2(vector.z2),
-                    int(is_best(vector)),
-                ])
+    # a row is best when its vector survives the archive folded from all cells
+    union = ParetoArchive()
+    for _, _, archive in cells:
+        for vector, witness in archive:
+            union.update(vector, witness)
+    best = set(union.vectors())
+    rows = (
+        [heuristic.value, ordering.value, vector.z1, format_z2(vector.z2), int(vector in best)]
+        for heuristic, ordering, archive in cells
+        for vector, _ in archive.sorted_entries()
+    )
+    _write_csv(path, ["heuristic", "order", "z1", "z2", "best"], rows)
 
 
 def _write_timings(path: Path, timings: list[tuple[Heuristic, Ordering, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["heuristic", "order", "seconds"])
-        for heuristic, ordering, elapsed in timings:
-            writer.writerow([heuristic.value, ordering.value, f"{elapsed:.3f}"])
+    rows = (
+        [heuristic.value, ordering.value, f"{elapsed:.3f}"]
+        for heuristic, ordering, elapsed in timings
+    )
+    _write_csv(path, ["heuristic", "order", "seconds"], rows)
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list[object]]) -> None:
+    """Write a CSV report atomically: a failure midway leaves any old file intact."""
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -142,20 +145,14 @@ def main(argv: list[str] | None = None) -> int:
     heuristics = list(HEURISTICS) if args.heuristic == "all" else [Heuristic(args.heuristic)]
     orderings = list(ORDERINGS) if args.order == "all" else [Ordering(args.order)]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.generate is not None:
-        write_instance(instance, out_dir / "instance.txt")
     try:
-        results_path = run_experiment(
-            instance,
-            heuristics,
-            orderings,
-            step=args.step,
-            reps=args.reps,
-            seed=args.seed,
-            out_dir=out_dir,
-        )
-    except ValueError as exc:
+        # validate the parameters before anything is written
+        params = SweepParams(step=args.step, solutions_per_level=args.reps, rng_seed=args.seed)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if args.generate is not None:
+            write_instance(instance, out_dir / "instance.txt")
+        results_path = run_experiment(instance, heuristics, orderings, params, out_dir)
+    except (OSError, ValueError) as exc:
         print(f"bibinpack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wrote {results_path}")

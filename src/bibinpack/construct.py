@@ -246,9 +246,7 @@ def run_sweep(
     At every level, `solutions_per_level` packings are built and folded into
     the archive. Each packing owns a private substream seeded from
     (rng_seed, level index, repetition), so a fixed seed reproduces the
-    archive bit for bit, and the (level, repetition) grid could be spread
-    over workers and recombined with `merge` without changing the reported
-    vector set.
+    archive bit for bit.
 
     `observer`, when given, sees every evaluated packing (used by tests).
     """

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import Bin, Instance, ObjectiveVector, Solution, dominates
+from .archive import ParetoArchive
+from .model import Bin, Instance, Item, ObjectiveVector, Solution
 
 DEFAULT_MAX_ITEMS = 10
 
@@ -29,44 +30,38 @@ def exact_pareto(
     attributes = [item.attribute for item in instance.items]
     capacity = instance.capacity
 
-    front: list[tuple[ObjectiveVector, list[list[int]]]] = []
-    blocks: list[list[int]] = []
+    # the witness is the block label of each item; summed heterogeneousness is
+    # the number of distinct (block, attribute) pairs
+    archive = ParetoArchive()
+    labels: list[int] = []
     loads: list[int] = []
-
-    def consider() -> None:
-        used = len(blocks)
-        mixing = sum(len({attributes[i] for i in block}) for block in blocks)
-        vector = ObjectiveVector(used, Fraction(mixing, used))
-        for incumbent, _ in front:
-            if incumbent == vector or dominates(incumbent, vector):
-                return
-        front[:] = [(v, b) for v, b in front if not dominates(vector, v)]
-        front.append((vector, [list(block) for block in blocks]))
 
     def extend(j: int) -> None:
         if j == n:
-            consider()
+            used = len(loads)
+            mixing = len(set(zip(labels, attributes)))
+            archive.update(ObjectiveVector(used, Fraction(mixing, used)), tuple(labels))
             return
         weight = weights[j]
-        for b in range(len(blocks)):
+        for b in range(len(loads)):
             if loads[b] + weight <= capacity:
-                blocks[b].append(j)
+                labels.append(b)
                 loads[b] += weight
                 extend(j + 1)
-                blocks[b].pop()
+                labels.pop()
                 loads[b] -= weight
-        blocks.append([j])
+        labels.append(len(loads))
         loads.append(weight)
         extend(j + 1)
-        blocks.pop()
+        labels.pop()
         loads.pop()
 
     extend(0)
-    front.sort(key=lambda entry: entry[0].z1)
     results: list[tuple[ObjectiveVector, Solution]] = []
-    for vector, saved_blocks in front:
-        bins = tuple(
-            Bin.from_items(instance.items[i] for i in block) for block in saved_blocks
-        )
+    for vector, witness in sorted(archive, key=lambda entry: entry[0].z1):
+        blocks: list[list[Item]] = [[] for _ in range(vector.z1)]
+        for item, label in zip(instance.items, witness):
+            blocks[label].append(item)
+        bins = tuple(Bin.from_items(block) for block in blocks)
         results.append((vector, Solution(bins=bins, instance=instance)))
     return results

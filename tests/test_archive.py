@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from bibinpack.archive import ParetoArchive, merge
+from bibinpack.archive import ParetoArchive
 from bibinpack.model import Bin, Instance, Item, ObjectiveVector, Solution
 
 from helpers import brute_force_front
@@ -67,38 +67,6 @@ def test_archive_stays_antichain_under_random_updates():
         vectors = archive.vectors()
         assert len(set(vectors)) == len(vectors)
         assert brute_force_front(vectors) == set(vectors)
-
-
-def test_merge_with_empty_is_identity():
-    archive = filled([vec(4, 2), vec(5, 1)])
-    merged = merge(archive, ParetoArchive())
-    assert set(merged.vectors()) == set(archive.vectors())
-
-
-def test_merge_keeps_incomparable_pair():
-    merged = merge(filled([vec(43, 1)]), filled([vec(42, "1.214")]))
-    assert set(merged.vectors()) == {vec(43, 1), vec(42, "1.214")}
-
-
-def test_merge_matches_sequential_refold_and_commutes():
-    rng = random.Random(31)
-    for _ in range(30):
-        left_vectors = [vec(rng.randint(1, 15), Fraction(rng.randint(5, 30), 5)) for _ in range(25)]
-        right_vectors = [vec(rng.randint(1, 15), Fraction(rng.randint(5, 30), 5)) for _ in range(25)]
-        left, right = filled(left_vectors), filled(right_vectors)
-        merged = merge(left, right)
-        refolded = filled(left_vectors + right_vectors)
-        assert set(merged.vectors()) == set(refolded.vectors())
-        assert set(merged.vectors()) == set(merge(right, left).vectors())
-        assert brute_force_front(left_vectors + right_vectors) == set(merged.vectors())
-
-
-def test_merge_does_not_mutate_inputs():
-    left = filled([vec(5, 2)])
-    right = filled([vec(5, 1)])
-    merge(left, right)
-    assert left.vectors() == [vec(5, 2)]
-    assert right.vectors() == [vec(5, 1)]
 
 
 def test_sorted_entries_order():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from bibinpack import cli
 from bibinpack.cli import EXIT_BAD_INSTANCE, EXIT_OK, EXIT_USAGE, main
 from bibinpack.construct import Heuristic, Ordering, SweepParams, run_sweep
 from bibinpack.instances import generate_instance
@@ -121,9 +122,45 @@ def test_bad_step_exits_one():
     assert excinfo.value.code == EXIT_USAGE
 
 
-def test_invalid_reps_exits_one(tmp_path):
-    code = main(["--generate", "20", "--reps", "0", "--out", str(tmp_path / "x")])
+@pytest.mark.parametrize(
+    "bad",
+    [["--reps", "0"], ["--step", "0"], ["--step", "-1"]],
+    ids=["reps-0", "step-0", "step-negative"],
+)
+def test_invalid_reps_exits_one(tmp_path, bad):
+    out = tmp_path / "x"
+    code = main(["--generate", "20", "--out", str(out), *bad])
     assert code == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_out_naming_a_file_exits_one(tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    code = main(["--generate", "20", "--out", str(blocker), *FAST])
+    assert code == EXIT_USAGE
+    assert "bibinpack: error:" in capsys.readouterr().err
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
+    out = tmp_path / "rerun"
+    args = ["--generate", "20", "--seed", "4", "--out", str(out), *FAST]
+    assert main(args) == EXIT_OK
+    before = (out / "results.csv").read_bytes()
+    calls = []
+
+    def failing_format_z2(value):
+        calls.append(value)
+        if len(calls) > 1:
+            raise RuntimeError("formatter failed mid-report")
+        return format_z2(value)
+
+    monkeypatch.setattr(cli, "format_z2", failing_format_z2)
+    with pytest.raises(RuntimeError, match="mid-report"):
+        main(args)
+    assert (out / "results.csv").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == ["instance.txt", "results.csv", "timings.csv"]
 
 
 def test_unreadable_instance_exits_two(tmp_path, capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bibinpack.model import Instance, Item, ObjectiveVector, evaluate, validate_solution
 from bibinpack.oracle import exact_pareto
@@ -77,10 +79,23 @@ def labeled_enumeration_front(inst: Instance) -> set[ObjectiveVector]:
     return brute_force_front(feasible_vectors)
 
 
-def test_matches_labeled_assignment_enumeration():
-    rng = random.Random(2718)
-    inst = random_instance(rng, n=7)
-    assert {v for v, _ in exact_pareto(inst)} == labeled_enumeration_front(inst)
+@st.composite
+def small_instances(draw) -> Instance:
+    specs = draw(st.lists(st.tuples(st.integers(10, 60), st.sampled_from("ABC")),
+                          min_size=1, max_size=6))
+    items = tuple(Item(i, weight, attribute) for i, (weight, attribute) in enumerate(specs))
+    return Instance(capacity=100, items=items)
+
+
+@settings(deadline=None, max_examples=60)
+@example(random_instance(random.Random(2718), n=7))
+@given(small_instances())
+def test_matches_labeled_assignment_enumeration(inst):
+    front = exact_pareto(inst)
+    assert {v for v, _ in front} == labeled_enumeration_front(inst)
+    for vector, witness in front:
+        validate_solution(witness)
+        assert evaluate(witness) == vector
 
 
 def test_every_random_packing_is_weakly_dominated():
