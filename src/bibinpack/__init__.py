@@ -1,19 +1,7 @@
 """Biobjective bin packing: minimize bin count and average bin heterogeneousness."""
 
 from .archive import ParetoArchive
-from .construct import (
-    Heuristic,
-    Ordering,
-    PartialSolution,
-    SweepParams,
-    best_fit_bin,
-    construct_solution,
-    draw_max_heterogeneousness,
-    heterogeneousness_levels,
-    order_items,
-    random_fit_bin,
-    run_sweep,
-)
+from .construct import Heuristic, Ordering, SweepParams, run_sweep
 from .instances import (
     ATTRIBUTE_LABELS,
     BENCHMARK_CAPACITY,
@@ -28,8 +16,6 @@ from .model import (
     Item,
     ObjectiveVector,
     Solution,
-    average_heterogeneousness,
-    bin_count,
     dominates,
     evaluate,
     format_z2,
@@ -50,22 +36,13 @@ __all__ = [
     "ObjectiveVector",
     "Ordering",
     "ParetoArchive",
-    "PartialSolution",
     "Solution",
     "SweepParams",
-    "average_heterogeneousness",
-    "best_fit_bin",
-    "bin_count",
-    "construct_solution",
     "dominates",
-    "draw_max_heterogeneousness",
     "evaluate",
     "exact_pareto",
     "format_z2",
     "generate_instance",
-    "heterogeneousness_levels",
-    "order_items",
-    "random_fit_bin",
     "read_instance",
     "run_sweep",
     "validate_solution",

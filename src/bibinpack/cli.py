@@ -7,10 +7,12 @@ import csv
 import os
 import sys
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .archive import ParetoArchive
 from .construct import Heuristic, Ordering, SweepParams, run_sweep
@@ -20,9 +22,6 @@ from .model import Instance, format_z2
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_INSTANCE = 2
-
-HEURISTICS = (Heuristic.BEST_FIT, Heuristic.RANDOM_FIT)
-ORDERINGS = (Ordering.DECREASING, Ordering.INCREASING, Ordering.RANDOM)
 
 Cell = tuple[Heuristic, Ordering, ParetoArchive]
 
@@ -50,10 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for generation and the sweeps (default 0)")
     parser.add_argument("--heuristic", default="all",
-                        choices=[h.value for h in HEURISTICS] + ["all"],
+                        choices=[h.value for h in Heuristic] + ["all"],
                         help="which heuristic to run (default all)")
     parser.add_argument("--order", default="all",
-                        choices=[o.value for o in ORDERINGS] + ["all"],
+                        choices=[o.value for o in Ordering] + ["all"],
                         help="item processing order (default all)")
     parser.add_argument("--step", type=Fraction, default=Fraction(1, 10), metavar="S",
                         help="heterogeneousness level increment (default 0.1)")
@@ -81,7 +80,10 @@ def run_experiment(
     timings: list[tuple[Heuristic, Ordering, float]] = []
     for heuristic in heuristics:
         for ordering in orderings:
-            cell_params = replace(params, heuristic=heuristic, ordering=ordering)
+            with warnings.catch_warnings():
+                # params was validated, and warned about, when it was built
+                warnings.simplefilter("ignore")
+                cell_params = replace(params, heuristic=heuristic, ordering=ordering)
             started = time.perf_counter()
             archive = run_sweep(instance, cell_params)
             elapsed = time.perf_counter() - started
@@ -119,13 +121,19 @@ def _write_timings(path: Path, timings: list[tuple[Heuristic, Ordering, float]])
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list[object]]) -> None:
-    """Write a CSV report atomically: a failure midway leaves any old file intact."""
+    with _replacing(path) as partial, open(partial, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """Yield a temporary path beside `path` and move it into place when the block
+    completes, so a failure midway leaves any old file intact."""
     partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(partial, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        yield partial
         os.replace(partial, path)
     finally:
         partial.unlink(missing_ok=True)
@@ -142,16 +150,18 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"bibinpack: invalid instance: {exc}", file=sys.stderr)
         return EXIT_BAD_INSTANCE
-    heuristics = list(HEURISTICS) if args.heuristic == "all" else [Heuristic(args.heuristic)]
-    orderings = list(ORDERINGS) if args.order == "all" else [Ordering(args.order)]
+    heuristics = list(Heuristic) if args.heuristic == "all" else [Heuristic(args.heuristic)]
+    orderings = list(Ordering) if args.order == "all" else [Ordering(args.order)]
     out_dir = Path(args.out)
     try:
         # validate the parameters before anything is written
         params = SweepParams(step=args.step, solutions_per_level=args.reps, rng_seed=args.seed)
         out_dir.mkdir(parents=True, exist_ok=True)
-        if args.generate is not None:
-            write_instance(instance, out_dir / "instance.txt")
         results_path = run_experiment(instance, heuristics, orderings, params, out_dir)
+        # only now, so a failed run cannot pair a new instance with old results
+        if args.generate is not None:
+            with _replacing(out_dir / "instance.txt") as partial:
+                write_instance(instance, partial)
     except (OSError, ValueError) as exc:
         print(f"bibinpack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,13 +19,6 @@ _INDEX_BITS = 20
 _INDEX_MASK = (1 << _INDEX_BITS) - 1
 
 
-def _exact_step(step) -> Fraction:
-    if isinstance(step, float):
-        # capture the decimal the caller wrote, not its binary expansion
-        return Fraction(str(step))
-    return Fraction(step)
-
-
 class Heuristic(str, Enum):
     BEST_FIT = "best-fit"
     RANDOM_FIT = "random-fit"
@@ -48,12 +41,14 @@ class SweepParams:
     ordering: Ordering = Ordering.DECREASING
 
     def __post_init__(self) -> None:
-        step = _exact_step(self.step)
+        # a float step keeps the decimal the caller wrote, not its binary expansion
+        step = Fraction(str(self.step)) if isinstance(self.step, float) else Fraction(self.step)
         object.__setattr__(self, "step", step)
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
         if step > 1:
-            warnings.warn(f"step {step} > 1 skips heterogeneousness levels", stacklevel=2)
+            # past the generated __init__, so the warning names the caller's line
+            warnings.warn(f"step {step} > 1 skips heterogeneousness levels", stacklevel=3)
         if self.solutions_per_level < 1:
             raise ValueError(
                 f"solutions_per_level must be >= 1, got {self.solutions_per_level}"
@@ -79,19 +74,10 @@ class PartialSolution:
         self.members: list[list[int]] = []
         self.attribute_masks: list[int] = []
         self.by_residual: list[int] = []
-        self._bit_of = {
+        self.bit_of = {
             attribute: 1 << position
             for position, attribute in enumerate(sorted(instance.attribute_universe))
         }
-
-    def __len__(self) -> int:
-        return len(self.loads)
-
-    def attribute_bit(self, attribute: str) -> int:
-        return self._bit_of[attribute]
-
-    def bin_heterogeneousness(self, index: int) -> int:
-        return self.attribute_masks[index].bit_count()
 
     def assign(self, item: Item, index: int | None) -> int:
         """Put the item into bin `index`, or open a new bin when None.
@@ -99,7 +85,7 @@ class PartialSolution:
         Returns the index of the bin used. Only capacity is enforced here;
         attribute caps are the bin-selection functions' concern.
         """
-        bit = self._bit_of[item.attribute]
+        bit = self.bit_of[item.attribute]
         if index is None:
             index = len(self.loads)
             self.loads.append(item.weight)
@@ -164,7 +150,7 @@ def best_fit_bin(partial: PartialSolution, item: Item, max_heterogeneousness: in
     by_residual = partial.by_residual
     start = bisect_left(by_residual, item.weight << _INDEX_BITS)
     masks = partial.attribute_masks
-    bit = partial.attribute_bit(item.attribute)
+    bit = partial.bit_of[item.attribute]
     for position in range(start, len(by_residual)):
         index = by_residual[position] & _INDEX_MASK
         if (masks[index] | bit).bit_count() <= max_heterogeneousness:
@@ -186,7 +172,7 @@ def random_fit_bin(
     by_residual = partial.by_residual
     start = bisect_left(by_residual, item.weight << _INDEX_BITS)
     masks = partial.attribute_masks
-    bit = partial.attribute_bit(item.attribute)
+    bit = partial.bit_of[item.attribute]
     candidates = [
         key & _INDEX_MASK
         for key in by_residual[start:]
@@ -225,12 +211,9 @@ def construct_solution(
 def heterogeneousness_levels(attribute_count: int, step: Fraction) -> list[Fraction]:
     """The sweep levels 1, 1+step, ... up to the number of distinct attributes.
 
-    Levels are exact rationals, so the count is always
+    `step` is the exact rational `SweepParams` holds, so the count is always
     floor((attribute_count - 1) / step) + 1 with no float drift.
     """
-    if attribute_count < 1:
-        raise ValueError(f"attribute_count must be >= 1, got {attribute_count}")
-    step = _exact_step(step)
     count = int((attribute_count - 1) / step) + 1
     return [1 + k * step for k in range(count)]
 

@@ -111,14 +111,13 @@ class ObjectiveVector:
         return f"({self.z1}, {format_z2(self.z2)})"
 
 
-def format_z2(value: Fraction, places: int = 3) -> str:
-    """Render an exact heterogeneousness value with fixed decimals, rounding half-up."""
-    scale = 10**places
-    quotient, remainder = divmod(value.numerator * scale, value.denominator)
+def format_z2(value: Fraction) -> str:
+    """Render an exact heterogeneousness value with three decimals, rounding half-up."""
+    quotient, remainder = divmod(value.numerator * 1000, value.denominator)
     if 2 * remainder >= value.denominator:
         quotient += 1
-    whole, fractional = divmod(quotient, scale)
-    return f"{whole}.{fractional:0{places}d}"
+    whole, fractional = divmod(quotient, 1000)
+    return f"{whole}.{fractional:03d}"
 
 
 def bin_count(solution: Solution) -> int:

@@ -7,12 +7,10 @@ from fractions import Fraction
 from .archive import ParetoArchive
 from .model import Bin, Instance, Item, ObjectiveVector, Solution
 
-DEFAULT_MAX_ITEMS = 10
+MAX_ITEMS = 10
 
 
-def exact_pareto(
-    instance: Instance, max_items: int = DEFAULT_MAX_ITEMS
-) -> list[tuple[ObjectiveVector, Solution]]:
+def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     """Every efficient objective vector, each with one witness packing.
 
     Enumerates set partitions of the items in restricted-growth order (each
@@ -22,10 +20,8 @@ def exact_pareto(
     item cap. Results are sorted by ascending bin count.
     """
     n = instance.n
-    if n > max_items:
-        raise ValueError(
-            f"instance has {n} items; exact enumeration is capped at {max_items}"
-        )
+    if n > MAX_ITEMS:
+        raise ValueError(f"instance has {n} items; exact enumeration is capped at {MAX_ITEMS}")
     weights = [item.weight for item in instance.items]
     attributes = [item.attribute for item in instance.items]
     capacity = instance.capacity

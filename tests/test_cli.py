@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -145,9 +148,9 @@ def test_out_naming_a_file_exits_one(tmp_path, capsys):
 
 def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
     out = tmp_path / "rerun"
-    args = ["--generate", "20", "--seed", "4", "--out", str(out), *FAST]
-    assert main(args) == EXIT_OK
-    before = (out / "results.csv").read_bytes()
+    assert main(["--generate", "20", "--seed", "4", "--out", str(out), *FAST]) == EXIT_OK
+    names = ["instance.txt", "results.csv", "timings.csv"]
+    before = {name: (out / name).read_bytes() for name in names}
     calls = []
 
     def failing_format_z2(value):
@@ -157,10 +160,30 @@ def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
         return format_z2(value)
 
     monkeypatch.setattr(cli, "format_z2", failing_format_z2)
+    # a different seed, so a half-written rerun would show in every file
     with pytest.raises(RuntimeError, match="mid-report"):
-        main(args)
-    assert (out / "results.csv").read_bytes() == before
-    assert sorted(p.name for p in out.iterdir()) == ["instance.txt", "results.csv", "timings.csv"]
+        main(["--generate", "20", "--seed", "5", "--out", str(out), *FAST])
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def test_step_above_one_warns_once_at_the_caller(tmp_path):
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code = main(["--generate", "20", "--step", "2", "--reps", "2",
+                     "--out", str(tmp_path / "wide")])
+    assert code == EXIT_OK
+    assert [(str(w.message), Path(w.filename).name) for w in record] == [
+        ("step 2 > 1 skips heterogeneousness levels", "cli.py")
+    ]
+
+
+def test_results_digest_is_pinned(tmp_path):
+    # the reported front of the benchmark invocation; a change here changes what users see
+    out = tmp_path / "pinned"
+    assert main(["--generate", "100", "--seed", "7", "--out", str(out)]) == EXIT_OK
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == "9164f037fd6bd207f11aa22725d60e9fd302daef7e973047758dc925e0f7480d"
 
 
 def test_unreadable_instance_exits_two(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_best_fit_counts_existing_attribute_as_free():
     inst = simple_instance([(2, "A"), (2, "B"), (2, "A")], capacity=10)
     partial = build_partial(inst, [(0, None)])
     partial.assign(inst.items[1], 0)
-    assert partial.bin_heterogeneousness(0) == 2
+    assert partial.to_solution().bins[0].heterogeneousness == 2
     assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=2) == 0
 
 
@@ -211,10 +211,6 @@ def test_level_grid_single_attribute():
     assert heterogeneousness_levels(1, Fraction(1, 10)) == [Fraction(1)]
 
 
-def test_level_grid_accepts_float_step_without_drift():
-    assert heterogeneousness_levels(5, 0.1) == heterogeneousness_levels(5, Fraction(1, 10))
-
-
 def test_level_grid_step_not_dividing_range():
     levels = heterogeneousness_levels(2, Fraction(3, 10))
     assert levels == [Fraction(1), Fraction(13, 10), Fraction(16, 10), Fraction(19, 10)]
@@ -225,8 +221,9 @@ def test_sweep_params_validation():
         SweepParams(step=Fraction(0))
     with pytest.raises(ValueError, match="solutions_per_level"):
         SweepParams(solutions_per_level=0)
-    with pytest.warns(UserWarning, match="skips"):
+    with pytest.warns(UserWarning, match="skips") as record:
         SweepParams(step=Fraction(3, 2))
+    assert [warning.filename for warning in record] == [__file__]
     assert SweepParams(step=0.1).step == Fraction(1, 10)
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bibinpack.instances import (
     ATTRIBUTE_LABELS,
@@ -69,6 +71,52 @@ def test_roundtrip_identity(tmp_path):
     path = tmp_path / "instance.txt"
     write_instance(inst, path)
     assert read_instance(path) == inst
+
+
+# attributes are whitespace-free tokens; surrogates cannot be encoded as UTF-8
+TOKENS = st.text(
+    st.characters(exclude_categories=("Cs",)).filter(lambda ch: not ch.isspace()), min_size=1
+)
+
+
+@st.composite
+def instances(draw) -> Instance:
+    capacity = draw(st.integers(1, 10**6))
+    attributes = draw(st.lists(TOKENS, min_size=1, max_size=30))
+    weights = draw(st.lists(st.integers(1, capacity), min_size=len(attributes),
+                            max_size=len(attributes)))
+    items = (Item(i, w, a) for i, (w, a) in enumerate(zip(weights, attributes)))
+    return Instance(capacity=capacity, items=tuple(items))
+
+
+# tmp_path is shared by all examples; each one overwrites the same file
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inst=instances())
+def test_roundtrip_is_identity_for_any_writable_instance(tmp_path, inst):
+    path = tmp_path / "instance.txt"
+    write_instance(inst, path)
+    assert read_instance(path) == inst
+
+
+# near-miss files from the format's own characters, plus arbitrary text
+FILE_TEXT = st.one_of(
+    st.text(st.sampled_from("0123456789 -+\t\n\rAB"), max_size=60),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=60),
+)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=FILE_TEXT)
+def test_read_raises_only_format_errors_on_any_text(tmp_path, text):
+    path = tmp_path / "any.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        inst = read_instance(path)
+    except InstanceFormatError:
+        return
+    assert 1 <= inst.n and all(item.weight <= inst.capacity for item in inst.items)
 
 
 def test_file_format_is_exact(tmp_path):

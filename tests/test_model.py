@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibinpack.model import (
     Bin,
@@ -182,6 +185,18 @@ def test_format_z2_rounds_half_up():
     assert format_z2(Fraction(15, 10000)) == "0.002"
     assert format_z2(Fraction(11115, 10000)) == "1.112"
     assert format_z2(Fraction(21, 2)) == "10.500"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(value=st.fractions(min_value=0, max_value=1000, max_denominator=10**6))
+def test_format_z2_matches_decimal_half_up(value):
+    # 60 digits resolve every quotient with denominator <= 10**6 away from a
+    # rounding boundary, so the quantized result is exact
+    with localcontext() as context:
+        context.prec = 60
+        decimal = Decimal(value.numerator) / Decimal(value.denominator)
+        expected = decimal.quantize(Decimal("0.001"), rounding=ROUND_HALF_UP)
+    assert format_z2(value) == str(expected)
 
 
 def test_validator_accepts_good_solution():
