@@ -34,6 +34,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        # argparse reports only ValueError/TypeError as usage errors, and "1/0" raises neither
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bibinpack",
@@ -54,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", default="all",
                         choices=[o.value for o in Ordering] + ["all"],
                         help="item processing order (default all)")
-    parser.add_argument("--step", type=Fraction, default=Fraction(1, 10), metavar="S",
+    parser.add_argument("--step", type=_fraction, default=Fraction(1, 10), metavar="S",
                         help="heterogeneousness level increment (default 0.1)")
     parser.add_argument("--reps", type=int, default=100, metavar="M",
                         help="solutions built per level (default 100)")
@@ -167,7 +175,3 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     print(f"wrote {results_path}")
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

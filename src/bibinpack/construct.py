@@ -109,10 +109,7 @@ class PartialSolution:
         return index
 
     def to_solution(self) -> Solution:
-        items = self.instance.items
-        bins = tuple(
-            Bin.from_items(items[item_id] for item_id in ids) for ids in self.members
-        )
+        bins = tuple(Bin(frozenset(ids)) for ids in self.members)
         return Solution(bins=bins, instance=self.instance)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -68,24 +67,9 @@ class Instance:
 
 @dataclass(frozen=True)
 class Bin:
-    """One used bin: its members, their total weight, their attribute spread."""
+    """One used bin: its member item ids; load and attributes follow from the instance."""
 
     member_ids: frozenset[int]
-    load: int
-    distinct_attributes: frozenset[str]
-
-    @classmethod
-    def from_items(cls, items: Iterable[Item]) -> "Bin":
-        members = tuple(items)
-        return cls(
-            member_ids=frozenset(item.id for item in members),
-            load=sum(item.weight for item in members),
-            distinct_attributes=frozenset(item.attribute for item in members),
-        )
-
-    @property
-    def heterogeneousness(self) -> int:
-        return len(self.distinct_attributes)
 
 
 @dataclass(frozen=True)
@@ -127,7 +111,8 @@ def bin_count(solution: Solution) -> int:
 
 def average_heterogeneousness(solution: Solution) -> Fraction:
     """Second objective: mean count of distinct attributes over used bins, exact."""
-    total = sum(b.heterogeneousness for b in solution.bins)
+    items = solution.instance.items
+    total = sum(len({items[i].attribute for i in b.member_ids}) for b in solution.bins)
     return Fraction(total, len(solution.bins))
 
 
@@ -148,24 +133,17 @@ def validate_solution(solution: Solution) -> None:
         if not used_bin.member_ids:
             raise ValueError(f"bin {index} is empty")
         load = 0
-        attributes: set[str] = set()
         for item_id in used_bin.member_ids:
             if not 0 <= item_id < instance.n:
                 raise ValueError(f"bin {index}: unknown item id {item_id}")
             if item_id in seen:
                 raise ValueError(f"item {item_id} assigned to more than one bin")
             seen.add(item_id)
-            item = instance.items[item_id]
-            load += item.weight
-            attributes.add(item.attribute)
-        if load != used_bin.load:
-            raise ValueError(f"bin {index}: stored load {used_bin.load} != recomputed {load}")
+            load += instance.items[item_id].weight
         if load > instance.capacity:
             raise ValueError(
                 f"bin {index}: load {load} exceeds capacity {instance.capacity}"
             )
-        if attributes != set(used_bin.distinct_attributes):
-            raise ValueError(f"bin {index}: stored attribute set is inconsistent with members")
     if len(seen) != instance.n:
         missing = sorted(set(range(instance.n)) - seen)
         raise ValueError(f"items never assigned: {missing}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .archive import ParetoArchive
-from .model import Bin, Instance, Item, ObjectiveVector, Solution
+from .model import Bin, Instance, ObjectiveVector, Solution
 
 MAX_ITEMS = 10
 
@@ -55,9 +55,9 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     extend(0)
     results: list[tuple[ObjectiveVector, Solution]] = []
     for vector, witness in sorted(archive, key=lambda entry: entry[0].z1):
-        blocks: list[list[Item]] = [[] for _ in range(vector.z1)]
-        for item, label in zip(instance.items, witness):
-            blocks[label].append(item)
-        bins = tuple(Bin.from_items(block) for block in blocks)
+        blocks: list[list[int]] = [[] for _ in range(vector.z1)]
+        for item_id, label in enumerate(witness):
+            blocks[label].append(item_id)
+        bins = tuple(Bin(frozenset(block)) for block in blocks)
         results.append((vector, Solution(bins=bins, instance=instance)))
     return results

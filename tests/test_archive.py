@@ -10,7 +10,7 @@ from helpers import brute_force_front
 
 # archive entries need some witness; the packing itself is irrelevant here
 _INSTANCE = Instance(capacity=10, items=(Item(0, 5, "A"),))
-_WITNESS = Solution(bins=(Bin.from_items(_INSTANCE.items),), instance=_INSTANCE)
+_WITNESS = Solution(bins=(Bin(frozenset({0})),), instance=_INSTANCE)
 
 
 def vec(z1: int, z2) -> ObjectiveVector:
@@ -50,8 +50,8 @@ def test_update_rejects_dominated_candidate():
 
 def test_update_is_idempotent_and_keeps_first_witness():
     archive = ParetoArchive()
-    first = Solution(bins=(Bin.from_items(_INSTANCE.items),), instance=_INSTANCE)
-    second = Solution(bins=(Bin.from_items(_INSTANCE.items),), instance=_INSTANCE)
+    first = Solution(bins=(Bin(frozenset({0})),), instance=_INSTANCE)
+    second = Solution(bins=(Bin(frozenset({0})),), instance=_INSTANCE)
     assert archive.update(vec(5, "1.5"), first)
     assert not archive.update(vec(5, "1.5"), second)
     ((_, witness),) = list(archive)

@@ -119,10 +119,13 @@ def test_bad_heuristic_exits_one():
     assert excinfo.value.code == EXIT_USAGE
 
 
-def test_bad_step_exits_one():
+@pytest.mark.parametrize("step", ["fast", "1/0"], ids=["fast", "zero-denominator"])
+def test_bad_step_exits_one(tmp_path, step):
+    out = tmp_path / "x"
     with pytest.raises(SystemExit) as excinfo:
-        main(["--generate", "20", "--step", "fast"])
+        main(["--generate", "20", "--out", str(out), "--step", step])
     assert excinfo.value.code == EXIT_USAGE
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from helpers import random_instance, recount_objectives
 
 
 def grouped_solution(instance: Instance, groups: list[list[int]]) -> Solution:
-    bins = tuple(Bin.from_items(instance.items[i] for i in group) for group in groups)
+    bins = tuple(Bin(frozenset(group)) for group in groups)
     return Solution(bins=bins, instance=instance)
 
 
@@ -102,7 +102,7 @@ def test_average_heterogeneousness_against_recount():
 
 def test_evaluate_single_bin():
     inst = Instance(capacity=10, items=(Item(0, 4, "A"),))
-    vector = evaluate(Solution(bins=(Bin.from_items(inst.items),), instance=inst))
+    vector = evaluate(Solution(bins=(Bin(frozenset({0})),), instance=inst))
     assert vector == ObjectiveVector(1, Fraction(1))
     assert str(vector) == "(1, 1.000)"
 
@@ -222,19 +222,15 @@ def test_validator_rejects_overloaded_bin():
         validate_solution(solution)
 
 
-def test_validator_rejects_inconsistent_bin_fields():
+def test_validator_rejects_unknown_item_id():
     inst = Instance(capacity=10, items=(Item(0, 3, "A"), Item(1, 4, "B")))
-    bad_bin = Bin(member_ids=frozenset({0, 1}), load=7, distinct_attributes=frozenset({"A"}))
-    with pytest.raises(ValueError, match="inconsistent"):
-        validate_solution(Solution(bins=(bad_bin,), instance=inst))
-    bad_load = Bin(member_ids=frozenset({0, 1}), load=6, distinct_attributes=frozenset({"A", "B"}))
-    with pytest.raises(ValueError, match="stored load"):
-        validate_solution(Solution(bins=(bad_load,), instance=inst))
+    with pytest.raises(ValueError, match="unknown item id 9"):
+        validate_solution(Solution(bins=(Bin(frozenset({0, 9})),), instance=inst))
 
 
 def test_validator_rejects_empty_bin():
     inst = Instance(capacity=10, items=(Item(0, 3, "A"),))
-    empty = Bin(member_ids=frozenset(), load=0, distinct_attributes=frozenset())
-    used = Bin.from_items(inst.items)
+    empty = Bin(frozenset())
+    used = Bin(frozenset({0}))
     with pytest.raises(ValueError, match="empty"):
         validate_solution(Solution(bins=(used, empty), instance=inst))
