@@ -8,7 +8,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .archive import ParetoArchive
 from .model import Bin, Instance, Item, ObjectiveVector, Solution, evaluate
@@ -41,6 +41,9 @@ class SweepParams:
     ordering: Ordering = Ordering.DECREASING
 
     def __post_init__(self) -> None:
+        # the kernel tests members with `is`, so a value string must become its member
+        object.__setattr__(self, "heuristic", Heuristic(self.heuristic))
+        object.__setattr__(self, "ordering", Ordering(self.ordering))
         # a float step keeps the decimal the caller wrote, not its binary expansion
         step = Fraction(str(self.step)) if isinstance(self.step, float) else Fraction(self.step)
         object.__setattr__(self, "step", step)
@@ -79,31 +82,32 @@ class PartialSolution:
             for position, attribute in enumerate(sorted(instance.attribute_universe))
         }
 
-    def assign(self, item: Item, index: int | None) -> int:
-        """Put the item into bin `index`, or open a new bin when None.
+    def assign(self, item_id: int, index: int | None) -> int:
+        """Put item `item_id` into bin `index`, or open a new bin when None.
 
         Returns the index of the bin used. Only capacity is enforced here;
         attribute caps are the bin-selection functions' concern.
         """
+        item = self.instance.items[item_id]
         bit = self.bit_of[item.attribute]
         if index is None:
             index = len(self.loads)
             self.loads.append(item.weight)
-            self.members.append([item.id])
+            self.members.append([item_id])
             self.attribute_masks.append(bit)
             insort(self.by_residual, (self.capacity - item.weight) << _INDEX_BITS | index)
             return index
         load = self.loads[index]
         if load + item.weight > self.capacity:
             raise ValueError(
-                f"item {item.id} does not fit bin {index}: "
+                f"item {item_id} does not fit bin {index}: "
                 f"{load} + {item.weight} > {self.capacity}"
             )
         old_key = (self.capacity - load) << _INDEX_BITS | index
         self.by_residual.pop(bisect_left(self.by_residual, old_key))
         load += item.weight
         self.loads[index] = load
-        self.members[index].append(item.id)
+        self.members[index].append(item_id)
         self.attribute_masks[index] |= bit
         insort(self.by_residual, (self.capacity - load) << _INDEX_BITS | index)
         return index
@@ -114,14 +118,12 @@ class PartialSolution:
 
 
 def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> list[int]:
-    """Item ids in processing order; weight ties fall back to ascending id."""
+    """Item ids in processing order; the sort is stable, so weight ties keep ascending id."""
     ids = list(range(instance.n))
-    if ordering is Ordering.DECREASING:
-        ids.sort(key=lambda i: (-instance.items[i].weight, i))
-    elif ordering is Ordering.INCREASING:
-        ids.sort(key=lambda i: (instance.items[i].weight, i))
-    else:
+    if ordering is Ordering.RANDOM:
         rng.shuffle(ids)
+    else:
+        ids.sort(key=lambda i: instance.items[i].weight, reverse=ordering is Ordering.DECREASING)
     return ids
 
 
@@ -201,18 +203,19 @@ def construct_solution(
             target = random_fit_bin(partial, item, cap, rng)
         else:
             target = best_fit_bin(partial, item, cap)
-        partial.assign(item, target)
+        partial.assign(item_id, target)
     return partial.to_solution()
 
 
-def heterogeneousness_levels(attribute_count: int, step: Fraction) -> list[Fraction]:
+def heterogeneousness_levels(attribute_count: int, step: Fraction) -> Iterator[Fraction]:
     """The sweep levels 1, 1+step, ... up to the number of distinct attributes.
 
     `step` is the exact rational `SweepParams` holds, so the count is always
-    floor((attribute_count - 1) / step) + 1 with no float drift.
+    floor((attribute_count - 1) / step) + 1 with no float drift. The levels
+    are yielded lazily, so a tiny step costs time, not memory.
     """
     count = int((attribute_count - 1) / step) + 1
-    return [1 + k * step for k in range(count)]
+    return (1 + k * step for k in range(count))
 
 
 def run_sweep(

@@ -33,9 +33,7 @@ def generate_instance(n: int, rng_seed: int) -> Instance:
         cuts = sorted(rng.sample(range(1, BENCHMARK_CAPACITY), GROUP_SIZE - 1))
         edges = [0, *cuts, BENCHMARK_CAPACITY]
         for lower, upper in zip(edges, edges[1:]):
-            items.append(
-                Item(id=len(items), weight=upper - lower, attribute=rng.choice(ATTRIBUTE_LABELS))
-            )
+            items.append(Item(weight=upper - lower, attribute=rng.choice(ATTRIBUTE_LABELS)))
     return Instance(capacity=BENCHMARK_CAPACITY, items=tuple(items))
 
 
@@ -43,10 +41,10 @@ def write_instance(instance: Instance, path: str | Path) -> None:
     """Write the plain-text format: "n capacity" header, then one
     "weight attribute" line per item."""
     lines = [f"{instance.n} {instance.capacity}"]
-    for item in instance.items:
+    for position, item in enumerate(instance.items):
         if not item.attribute or any(ch.isspace() for ch in item.attribute):
             raise ValueError(
-                f"item {item.id}: attribute {item.attribute!r} cannot be written, "
+                f"item {position}: attribute {item.attribute!r} cannot be written, "
                 "tokens must be non-empty and whitespace-free"
             )
         lines.append(f"{item.weight} {item.attribute}")
@@ -96,7 +94,7 @@ def read_instance(path: str | Path) -> Instance:
             raise InstanceFormatError(
                 f"line {line_number}: weight {weight} exceeds capacity {capacity}"
             )
-        items.append(Item(id=offset, weight=weight, attribute=parts[1]))
+        items.append(Item(weight=weight, attribute=parts[1]))
     for line_number, line in enumerate(body[n:], start=n + 2):
         if line.strip():
             raise InstanceFormatError(f"line {line_number}: unexpected trailing content {line!r}")

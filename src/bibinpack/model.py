@@ -8,15 +8,17 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class Item:
-    """A unit to pack: integer weight plus a nominal attribute label."""
+    """A unit to pack: integer weight plus a nominal attribute label.
 
-    id: int
+    An item's id is its position in `Instance.items`.
+    """
+
     weight: int
     attribute: str
 
     def __post_init__(self) -> None:
         if self.weight < 1:
-            raise ValueError(f"item {self.id}: weight must be >= 1, got {self.weight}")
+            raise ValueError(f"weight must be >= 1, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,7 @@ class Instance:
     """A packing problem: bin capacity plus the items to distribute.
 
     Construction validates everything downstream code relies on, so an
-    Instance that exists is feasible: ids match positions and every item
-    fits an empty bin.
+    Instance that exists is feasible: every item fits an empty bin.
     """
 
     capacity: int
@@ -39,13 +40,9 @@ class Instance:
         if not self.items:
             raise ValueError("instance needs at least one item")
         for position, item in enumerate(self.items):
-            if item.id != position:
-                raise ValueError(
-                    f"item ids must equal list position: position {position} holds id {item.id}"
-                )
             if item.weight > self.capacity:
                 raise ValueError(
-                    f"item {item.id}: weight {item.weight} exceeds capacity "
+                    f"item {position}: weight {item.weight} exceeds capacity "
                     f"{self.capacity}, no feasible packing exists"
                 )
         universe = frozenset(item.attribute for item in self.items)

@@ -20,8 +20,8 @@ def random_instance(
     attribute_pool: str = "ABC",
 ) -> Instance:
     items = tuple(
-        Item(id=i, weight=rng.randint(*weight_range), attribute=rng.choice(attribute_pool))
-        for i in range(n)
+        Item(weight=rng.randint(*weight_range), attribute=rng.choice(attribute_pool))
+        for _ in range(n)
     )
     return Instance(capacity=capacity, items=items)
 
@@ -44,6 +44,52 @@ def classic_best_fit(instance: Instance, item_order: list[int]) -> list[list[int
         else:
             bins[best].append(item_id)
             loads[best] += weight
+    return bins
+
+
+def reference_construct(
+    instance: Instance,
+    heuristic: str,
+    ordering: str,
+    level: Fraction,
+    rng: random.Random,
+) -> list[list[int]]:
+    """One packing built the plain way: bins as lists, a full scan per item.
+
+    Restates the construction rules on their own: ids ordered by (-weight, id),
+    (weight, id) or a shuffle; a per-item cap of floor(level), raised by one
+    with probability equal to the fractional part (drawn only when that part is
+    non-zero); candidates are the bins with room whose distinct attributes
+    stay within the cap, ordered by (residual, index). Best-fit takes the
+    first candidate, random-fit draws one with `rng.choice`, and no candidate
+    opens a new bin. Returns the bins' member ids in opening order.
+    """
+    items = instance.items
+    ids = list(range(instance.n))
+    if ordering == "decreasing":
+        ids.sort(key=lambda i: (-items[i].weight, i))
+    elif ordering == "increasing":
+        ids.sort(key=lambda i: (items[i].weight, i))
+    else:
+        rng.shuffle(ids)
+    whole, part = divmod(level, 1)
+    bins: list[list[int]] = []
+    for item_id in ids:
+        item = items[item_id]
+        cap = whole + 1 if part and rng.random() < float(part) else whole
+        candidates = []
+        for index, members in enumerate(bins):
+            residual = instance.capacity - sum(items[i].weight for i in members)
+            attributes = {items[i].attribute for i in members} | {item.attribute}
+            if item.weight <= residual and len(attributes) <= cap:
+                candidates.append((residual, index))
+        candidates.sort()
+        if not candidates:
+            bins.append([item_id])
+        elif heuristic == "best-fit":
+            bins[candidates[0][1]].append(item_id)
+        else:
+            bins[rng.choice(candidates)[1]].append(item_id)
     return bins
 
 

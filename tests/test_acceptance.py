@@ -76,7 +76,7 @@ def observed_sweep(instance: Instance, params: SweepParams) -> SweepRun:
     started = time.perf_counter()
     archive = run_sweep(instance, params, observer=check)
     elapsed = time.perf_counter() - started
-    levels = heterogeneousness_levels(len(instance.attribute_universe), params.step)
+    levels = list(heterogeneousness_levels(len(instance.attribute_universe), params.step))
     expected = len(levels) * params.solutions_per_level
     return SweepRun(archive, elapsed, seen, expected, failures)
 
@@ -134,7 +134,7 @@ def oracle_agreement() -> OracleAgreement:
         params = SweepParams(rng_seed=SWEEP_SEED)
         archive = run_sweep(instance, params, observer=check)
         expected += 100 * len(
-            heterogeneousness_levels(len(instance.attribute_universe), params.step)
+            list(heterogeneousness_levels(len(instance.attribute_universe), params.step))
         )
         front = [vector for vector, _ in exact_pareto(instance)]
         for candidate in archive.vectors():
@@ -213,7 +213,7 @@ def test_criterion_5_property_suite(swept, oracle_agreement):
     rng = random.Random(31337)
 
     # archive antichain invariance over 100_000 updates in random sequences
-    witness_instance = Instance(capacity=10, items=(Item(0, 5, "A"),))
+    witness_instance = Instance(capacity=10, items=(Item(5, "A"),))
     witness = Solution(bins=(Bin(frozenset({0})),), instance=witness_instance)
     updates = 0
     for _ in range(100):

@@ -9,7 +9,7 @@ from bibinpack.model import Bin, Instance, Item, ObjectiveVector, Solution
 from helpers import brute_force_front
 
 # archive entries need some witness; the packing itself is irrelevant here
-_INSTANCE = Instance(capacity=10, items=(Item(0, 5, "A"),))
+_INSTANCE = Instance(capacity=10, items=(Item(5, "A"),))
 _WITNESS = Solution(bins=(Bin(frozenset({0})),), instance=_INSTANCE)
 
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibinpack.construct import (
     Heuristic,
@@ -27,11 +31,11 @@ from bibinpack.model import (
 )
 from bibinpack.oracle import exact_pareto
 
-from helpers import classic_best_fit, random_instance
+from helpers import classic_best_fit, random_instance, reference_construct
 
 
 def simple_instance(weights_attrs: list[tuple[int, str]], capacity: int) -> Instance:
-    items = tuple(Item(i, w, a) for i, (w, a) in enumerate(weights_attrs))
+    items = tuple(Item(w, a) for w, a in weights_attrs)
     return Instance(capacity=capacity, items=items)
 
 
@@ -83,7 +87,7 @@ def test_draw_cap_fractional_level_frequency():
 def build_partial(instance: Instance, assignments: list[tuple[int, int | None]]) -> PartialSolution:
     partial = PartialSolution(instance)
     for item_id, target in assignments:
-        partial.assign(instance.items[item_id], target)
+        partial.assign(item_id, target)
     return partial
 
 
@@ -113,9 +117,9 @@ def test_best_fit_attribute_cap_excludes_mixed_bin():
     inst = simple_instance([(2, "A"), (2, "B"), (2, "B")], capacity=10)
     partial = build_partial(inst, [(0, None)])
     assert best_fit_bin(partial, inst.items[1], max_heterogeneousness=1) is None
-    partial.assign(inst.items[1], None)
+    partial.assign(1, None)
     assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=1) == 1
-    partial.assign(inst.items[2], 1)
+    partial.assign(2, 1)
     vector = evaluate(partial.to_solution())
     # the packing this forces is one of the two efficient outcomes
     assert vector in {v for v, _ in exact_pareto(inst)}
@@ -131,7 +135,7 @@ def test_best_fit_counts_existing_attribute_as_free():
     # an item whose attribute is already present never raises the mix count
     inst = simple_instance([(2, "A"), (2, "B"), (2, "A")], capacity=10)
     partial = build_partial(inst, [(0, None)])
-    partial.assign(inst.items[1], 0)
+    partial.assign(1, 0)
     assert average_heterogeneousness(partial.to_solution()) == 2
     assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=2) == 0
 
@@ -162,7 +166,7 @@ def test_assign_rejects_overfull_target():
     inst = simple_instance([(9, "A"), (4, "A")], capacity=10)
     partial = build_partial(inst, [(0, None)])
     with pytest.raises(ValueError, match="does not fit"):
-        partial.assign(inst.items[1], 0)
+        partial.assign(1, 0)
 
 
 # ------------------------------------------------------------- full builds
@@ -197,10 +201,32 @@ def test_slack_cap_reduces_to_classic_best_fit():
         assert [set(b.member_ids) for b in solution.bins] == [set(b) for b in reference]
 
 
+@settings(deadline=None)
+@given(
+    specs=st.lists(st.tuples(st.integers(10, 60), st.sampled_from("ABC")), min_size=1, max_size=12),
+    heuristic=st.sampled_from(Heuristic),
+    ordering=st.sampled_from(Ordering),
+    level=st.one_of(
+        st.integers(1, 3).map(Fraction),
+        st.fractions(min_value=1, max_value=3, max_denominator=10),
+    ),
+    seed=st.integers(min_value=0),
+)
+def test_construct_matches_plain_reference(specs, heuristic, ordering, level, seed):
+    inst = Instance(capacity=100, items=tuple(Item(w, a) for w, a in specs))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    params = SweepParams(heuristic=heuristic, ordering=ordering)
+    solution = construct_solution(inst, params, level, rng)
+    reference = reference_construct(inst, heuristic, ordering, level, reference_rng)
+    assert [b.member_ids for b in solution.bins] == [frozenset(b) for b in reference]
+    # equal end states pin every RNG call the sweep's digests depend on
+    assert rng.getstate() == reference_rng.getstate()
+
+
 # ------------------------------------------------------------------ levels
 
 def test_level_grid_count_and_bounds():
-    levels = heterogeneousness_levels(5, Fraction(1, 10))
+    levels = list(heterogeneousness_levels(5, Fraction(1, 10)))
     assert len(levels) == 41
     assert levels[0] == 1
     assert levels[-1] == 5
@@ -208,12 +234,23 @@ def test_level_grid_count_and_bounds():
 
 
 def test_level_grid_single_attribute():
-    assert heterogeneousness_levels(1, Fraction(1, 10)) == [Fraction(1)]
+    assert list(heterogeneousness_levels(1, Fraction(1, 10))) == [Fraction(1)]
 
 
 def test_level_grid_step_not_dividing_range():
-    levels = heterogeneousness_levels(2, Fraction(3, 10))
+    levels = list(heterogeneousness_levels(2, Fraction(3, 10)))
     assert levels == [Fraction(1), Fraction(13, 10), Fraction(16, 10), Fraction(19, 10)]
+
+
+def test_level_grid_is_lazy():
+    tracemalloc.start()
+    try:
+        first = list(islice(heterogeneousness_levels(5, Fraction(1, 100_000)), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == [1 + k * Fraction(1, 100_000) for k in range(3)]
+    assert peak < 1_000_000
 
 
 def test_sweep_params_validation():
@@ -225,6 +262,20 @@ def test_sweep_params_validation():
         SweepParams(step=Fraction(3, 2))
     assert [warning.filename for warning in record] == [__file__]
     assert SweepParams(step=0.1).step == Fraction(1, 10)
+
+
+def test_sweep_params_accepts_value_strings():
+    named = SweepParams(solutions_per_level=5, heuristic="random-fit", ordering="decreasing")
+    assert named.heuristic is Heuristic.RANDOM_FIT
+    assert named.ordering is Ordering.DECREASING
+    members = SweepParams(solutions_per_level=5, heuristic=Heuristic.RANDOM_FIT,
+                          ordering=Ordering.DECREASING)
+    inst = random_instance(random.Random(8), n=25)
+    assert run_sweep(inst, named).vectors() == run_sweep(inst, members).vectors()
+    with pytest.raises(ValueError, match="sideways"):
+        SweepParams(ordering="sideways")
+    with pytest.raises(ValueError, match="worst-fit"):
+        SweepParams(heuristic="worst-fit")
 
 
 # ------------------------------------------------------------------- sweep

@@ -85,7 +85,7 @@ def instances(draw) -> Instance:
     attributes = draw(st.lists(TOKENS, min_size=1, max_size=30))
     weights = draw(st.lists(st.integers(1, capacity), min_size=len(attributes),
                             max_size=len(attributes)))
-    items = (Item(i, w, a) for i, (w, a) in enumerate(zip(weights, attributes)))
+    items = (Item(w, a) for w, a in zip(weights, attributes))
     return Instance(capacity=capacity, items=tuple(items))
 
 
@@ -120,14 +120,14 @@ def test_read_raises_only_format_errors_on_any_text(tmp_path, text):
 
 
 def test_file_format_is_exact(tmp_path):
-    inst = Instance(capacity=10, items=(Item(0, 3, "A"), Item(1, 7, "B")))
+    inst = Instance(capacity=10, items=(Item(3, "A"), Item(7, "B")))
     path = tmp_path / "tiny.txt"
     write_instance(inst, path)
     assert path.read_text(encoding="utf-8") == "2 10\n3 A\n7 B\n"
 
 
 def test_write_rejects_unwritable_attribute(tmp_path):
-    inst = Instance(capacity=10, items=(Item(0, 3, "two words"),))
+    inst = Instance(capacity=10, items=(Item(3, "two words"),))
     with pytest.raises(ValueError, match="whitespace"):
         write_instance(inst, tmp_path / "bad.txt")
 

@@ -33,29 +33,24 @@ def grouped_solution(instance: Instance, groups: list[list[int]]) -> Solution:
 SIX_ITEMS = Instance(
     capacity=1000,
     items=(
-        Item(0, 10, "A"),
-        Item(1, 20, "A"),
-        Item(2, 30, "B"),
-        Item(3, 40, "B"),
-        Item(4, 50, "A"),
-        Item(5, 60, "B"),
+        Item(10, "A"),
+        Item(20, "A"),
+        Item(30, "B"),
+        Item(40, "B"),
+        Item(50, "A"),
+        Item(60, "B"),
     ),
 )
 
 
 def test_item_rejects_nonpositive_weight():
     with pytest.raises(ValueError, match="weight"):
-        Item(id=0, weight=0, attribute="A")
+        Item(weight=0, attribute="A")
 
 
 def test_instance_rejects_overweight_item():
     with pytest.raises(ValueError, match="exceeds capacity"):
-        Instance(capacity=10, items=(Item(0, 11, "A"),))
-
-
-def test_instance_rejects_misnumbered_ids():
-    with pytest.raises(ValueError, match="list position"):
-        Instance(capacity=10, items=(Item(1, 5, "A"),))
+        Instance(capacity=10, items=(Item(11, "A"),))
 
 
 def test_instance_rejects_empty():
@@ -64,14 +59,14 @@ def test_instance_rejects_empty():
 
 
 def test_attribute_universe_matches_items():
-    inst = Instance(capacity=10, items=(Item(0, 3, "A"), Item(1, 4, "B"), Item(2, 2, "A")))
+    inst = Instance(capacity=10, items=(Item(3, "A"), Item(4, "B"), Item(2, "A")))
     assert inst.attribute_universe == frozenset({"A", "B"})
     assert inst.n == 3
     assert inst.lower_bound == 1
 
 
 def test_lower_bound_rounds_up():
-    inst = Instance(capacity=10, items=(Item(0, 7, "A"), Item(1, 7, "A")))
+    inst = Instance(capacity=10, items=(Item(7, "A"), Item(7, "A")))
     assert inst.lower_bound == 2
 
 
@@ -101,7 +96,7 @@ def test_average_heterogeneousness_against_recount():
 
 
 def test_evaluate_single_bin():
-    inst = Instance(capacity=10, items=(Item(0, 4, "A"),))
+    inst = Instance(capacity=10, items=(Item(4, "A"),))
     vector = evaluate(Solution(bins=(Bin(frozenset({0})),), instance=inst))
     assert vector == ObjectiveVector(1, Fraction(1))
     assert str(vector) == "(1, 1.000)"
@@ -109,7 +104,7 @@ def test_evaluate_single_bin():
 
 def test_evaluate_homogeneous_twenty_two_bins():
     # 22 bins of two same-label items each: the fully homogeneous extreme
-    items = tuple(Item(i, 500, "ABCDE"[(i // 2) % 5]) for i in range(44))
+    items = tuple(Item(500, "ABCDE"[(i // 2) % 5]) for i in range(44))
     inst = Instance(capacity=1000, items=items)
     paired = grouped_solution(inst, [[2 * k, 2 * k + 1] for k in range(22)])
     validate_solution(paired)
@@ -124,14 +119,14 @@ def test_evaluate_matches_componentwise_recount():
         # greedy first-fit by id keeps this reference packer trivial
         groups: list[list[int]] = []
         loads: list[int] = []
-        for item in inst.items:
+        for item_id, item in enumerate(inst.items):
             for g, load in enumerate(loads):
                 if load + item.weight <= inst.capacity:
-                    groups[g].append(item.id)
+                    groups[g].append(item_id)
                     loads[g] += item.weight
                     break
             else:
-                groups.append([item.id])
+                groups.append([item_id])
                 loads.append(item.weight)
         solution = grouped_solution(inst, groups)
         validate_solution(solution)
@@ -216,20 +211,20 @@ def test_validator_rejects_missing_item():
 
 
 def test_validator_rejects_overloaded_bin():
-    inst = Instance(capacity=10, items=(Item(0, 7, "A"), Item(1, 7, "A")))
+    inst = Instance(capacity=10, items=(Item(7, "A"), Item(7, "A")))
     solution = grouped_solution(inst, [[0, 1]])
     with pytest.raises(ValueError, match="exceeds capacity"):
         validate_solution(solution)
 
 
 def test_validator_rejects_unknown_item_id():
-    inst = Instance(capacity=10, items=(Item(0, 3, "A"), Item(1, 4, "B")))
+    inst = Instance(capacity=10, items=(Item(3, "A"), Item(4, "B")))
     with pytest.raises(ValueError, match="unknown item id 9"):
         validate_solution(Solution(bins=(Bin(frozenset({0, 9})),), instance=inst))
 
 
 def test_validator_rejects_empty_bin():
-    inst = Instance(capacity=10, items=(Item(0, 3, "A"),))
+    inst = Instance(capacity=10, items=(Item(3, "A"),))
     empty = Bin(frozenset())
     used = Bin(frozenset({0}))
     with pytest.raises(ValueError, match="empty"):

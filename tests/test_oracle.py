@@ -15,12 +15,12 @@ from helpers import brute_force_front, random_instance
 
 
 def test_items_that_cannot_share_a_bin():
-    inst = Instance(capacity=1000, items=(Item(0, 600, "A"), Item(1, 500, "A")))
+    inst = Instance(capacity=1000, items=(Item(600, "A"), Item(500, "A")))
     assert [v for v, _ in exact_pareto(inst)] == [ObjectiveVector(2, Fraction(1))]
 
 
 def test_two_items_two_attributes():
-    inst = Instance(capacity=1000, items=(Item(0, 400, "A"), Item(1, 500, "B")))
+    inst = Instance(capacity=1000, items=(Item(400, "A"), Item(500, "B")))
     assert [v for v, _ in exact_pareto(inst)] == [
         ObjectiveVector(1, Fraction(2)),
         ObjectiveVector(2, Fraction(1)),
@@ -83,7 +83,7 @@ def labeled_enumeration_front(inst: Instance) -> set[ObjectiveVector]:
 def small_instances(draw) -> Instance:
     specs = draw(st.lists(st.tuples(st.integers(10, 60), st.sampled_from("ABC")),
                           min_size=1, max_size=6))
-    items = tuple(Item(i, weight, attribute) for i, (weight, attribute) in enumerate(specs))
+    items = tuple(Item(weight, attribute) for weight, attribute in specs)
     return Instance(capacity=100, items=items)
 
 
