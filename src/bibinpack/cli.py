@@ -15,13 +15,16 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .archive import ParetoArchive
-from .construct import Heuristic, Ordering, SweepParams, run_sweep
+from .construct import Heuristic, Ordering, SweepParams, level_count, run_sweep
 from .instances import generate_instance, read_instance, write_instance
 from .model import Instance, format_z2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BAD_INSTANCE = 2
+
+# every level builds --reps packings per cell, so a finer grid cannot finish in practice
+MAX_LEVELS = 10_000
 
 Cell = tuple[Heuristic, Ordering, ParetoArchive]
 
@@ -164,6 +167,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # validate the parameters before anything is written
         params = SweepParams(step=args.step, solutions_per_level=args.reps, rng_seed=args.seed)
+        levels = level_count(len(instance.attribute_universe), params.step)
+        if levels > MAX_LEVELS:
+            raise ValueError(f"step {params.step} gives {levels} heterogeneousness levels; "
+                             f"at most {MAX_LEVELS} are allowed")
         out_dir.mkdir(parents=True, exist_ok=True)
         results_path = run_experiment(instance, heuristics, orderings, params, out_dir)
         # only now, so a failed run cannot pair a new instance with old results

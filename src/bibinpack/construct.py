@@ -210,12 +210,16 @@ def construct_solution(
 def heterogeneousness_levels(attribute_count: int, step: Fraction) -> Iterator[Fraction]:
     """The sweep levels 1, 1+step, ... up to the number of distinct attributes.
 
-    `step` is the exact rational `SweepParams` holds, so the count is always
-    floor((attribute_count - 1) / step) + 1 with no float drift. The levels
-    are yielded lazily, so a tiny step costs time, not memory.
+    `step` is the exact rational `SweepParams` holds, so `level_count` has
+    no float drift. The levels are yielded lazily, so a tiny step costs
+    time, not memory.
     """
-    count = int((attribute_count - 1) / step) + 1
-    return (1 + k * step for k in range(count))
+    return (1 + k * step for k in range(level_count(attribute_count, step)))
+
+
+def level_count(attribute_count: int, step: Fraction) -> int:
+    """How many levels `heterogeneousness_levels` yields: floor((A - 1) / step) + 1."""
+    return int((attribute_count - 1) / step) + 1
 
 
 def run_sweep(

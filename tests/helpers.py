@@ -2,6 +2,9 @@
 
 Everything here is deliberately independent of the package's internals:
 plain full-scan loops and brute-force filters, no shared data structures.
+The one exception is `reference_exact_pareto`, which folds into the
+package's `ParetoArchive` so that its first-seen witnesses can be compared
+with the pruned oracle's bin for bin.
 """
 
 from __future__ import annotations
@@ -9,7 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from bibinpack.model import Instance, Item, Solution
+from bibinpack.archive import ParetoArchive
+from bibinpack.model import Bin, Instance, Item, ObjectiveVector, Solution
 
 
 def random_instance(
@@ -114,3 +118,50 @@ def brute_force_front(vectors: list) -> set:
         if not beaten:
             front.add(v)
     return front
+
+
+def reference_exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
+    """The oracle without its prune: offer every capacity-feasible partition.
+
+    Enumerates set partitions in restricted-growth order (each item joins an
+    existing block or opens the next one), skipping blocks over capacity,
+    and folds every complete partition into a `ParetoArchive` with its block
+    labels as the witness. Results are sorted by ascending bin count.
+    """
+    n = instance.n
+    weights = [item.weight for item in instance.items]
+    attributes = [item.attribute for item in instance.items]
+    capacity = instance.capacity
+    archive = ParetoArchive()
+    labels: list[int] = []
+    loads: list[int] = []
+
+    def extend(j: int) -> None:
+        if j == n:
+            used = len(loads)
+            mixing = len(set(zip(labels, attributes)))
+            archive.update(ObjectiveVector(used, Fraction(mixing, used)), tuple(labels))
+            return
+        weight = weights[j]
+        for b in range(len(loads)):
+            if loads[b] + weight <= capacity:
+                labels.append(b)
+                loads[b] += weight
+                extend(j + 1)
+                labels.pop()
+                loads[b] -= weight
+        labels.append(len(loads))
+        loads.append(weight)
+        extend(j + 1)
+        labels.pop()
+        loads.pop()
+
+    extend(0)
+    results: list[tuple[ObjectiveVector, Solution]] = []
+    for vector, witness in sorted(archive, key=lambda entry: entry[0].z1):
+        blocks: list[list[int]] = [[] for _ in range(vector.z1)]
+        for item_id, label in enumerate(witness):
+            blocks[label].append(item_id)
+        bins = tuple(Bin(frozenset(block)) for block in blocks)
+        results.append((vector, Solution(bins=bins, instance=instance)))
+    return results

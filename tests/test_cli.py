@@ -140,6 +140,26 @@ def test_invalid_reps_exits_one(tmp_path, bad):
     assert not out.exists()
 
 
+def test_too_many_levels_exits_one_before_the_sweep(tmp_path, monkeypatch, capsys):
+    started = []
+
+    def stub(instance, heuristics, orderings, params, out_dir):
+        started.append(params.step)
+        return out_dir / "results.csv"
+
+    monkeypatch.setattr(cli, "run_experiment", stub)
+    out = tmp_path / "x"
+    code = main(["--generate", "20", "--out", str(out), "--step", "1/1000000000"])
+    assert code == EXIT_USAGE
+    assert "4000000001 heterogeneousness levels" in capsys.readouterr().err
+    assert started == []
+    assert not out.exists()
+    # five attributes: a step of 4 / (MAX_LEVELS - 1) gives exactly MAX_LEVELS levels
+    step = Fraction(4, cli.MAX_LEVELS - 1)
+    assert main(["--generate", "20", "--out", str(out), "--step", str(step)]) == EXIT_OK
+    assert started == [step]
+
+
 def test_out_naming_a_file_exits_one(tmp_path, capsys):
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n", encoding="utf-8")

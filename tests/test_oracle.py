@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bibinpack.archive import ParetoArchive
 from bibinpack.model import Instance, Item, ObjectiveVector, evaluate, validate_solution
 from bibinpack.oracle import exact_pareto
 
-from helpers import brute_force_front, random_instance
+from helpers import brute_force_front, random_instance, reference_exact_pareto
 
 
 def test_items_that_cannot_share_a_bin():
@@ -96,6 +97,61 @@ def test_matches_labeled_assignment_enumeration(inst):
     for vector, witness in front:
         validate_solution(witness)
         assert evaluate(witness) == vector
+
+
+def front_key(front) -> list:
+    """Vectors with their witnesses' member ids, bin for bin, in front order."""
+    return [(vector, [sorted(b.member_ids) for b in witness.bins]) for vector, witness in front]
+
+
+@st.composite
+def pruning_instances(draw) -> Instance:
+    capacity = draw(st.sampled_from([60, 100, 150]))
+    pool = draw(st.sampled_from(["A", "AB", "ABC", "ABCDE"]))
+    specs = draw(st.lists(st.tuples(st.integers(1, capacity), st.sampled_from(pool)),
+                          min_size=1, max_size=8))
+    return Instance(capacity=capacity, items=tuple(Item(w, a) for w, a in specs))
+
+
+@settings(deadline=None, max_examples=150)
+@given(pruning_instances())
+def test_pruned_oracle_matches_plain_enumeration(inst):
+    assert front_key(exact_pareto(inst)) == front_key(reference_exact_pareto(inst))
+
+
+def count_offers(monkeypatch, oracle, inst) -> tuple[list, int]:
+    offers = 0
+    update = ParetoArchive.update
+
+    def counting(self, vector, witness):
+        nonlocal offers
+        offers += 1
+        return update(self, vector, witness)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ParetoArchive, "update", counting)
+        front = oracle(inst)
+    return front, offers
+
+
+def test_prune_never_fires_when_every_attribute_is_distinct(monkeypatch):
+    inst = Instance(capacity=100, items=tuple(Item(1, label) for label in "ABCDEFGH"))
+    front, offers = count_offers(monkeypatch, exact_pareto, inst)
+    reference, reference_offers = count_offers(monkeypatch, reference_exact_pareto, inst)
+    assert [v for v, _ in front] == [ObjectiveVector(k, Fraction(8, k)) for k in range(1, 9)]
+    assert front_key(front) == front_key(reference)
+    assert offers == reference_offers == 4140  # Bell(8): every partition is offered
+
+
+def test_prune_fires_at_once_on_one_attribute(monkeypatch):
+    inst = Instance(capacity=100, items=tuple(Item(w, "A") for w in (5, 9, 12, 7, 20, 3, 11, 8)))
+    front, offers = count_offers(monkeypatch, exact_pareto, inst)
+    reference, reference_offers = count_offers(monkeypatch, reference_exact_pareto, inst)
+    assert [v for v, _ in front] == [ObjectiveVector(1, Fraction(1))]
+    assert front_key(front) == front_key(reference)
+    # the first partition is the single bin, which weakly dominates every completion:
+    # only its sibling leaf (the last item on its own) is still offered
+    assert (offers, reference_offers) == (2, 4140)
 
 
 def test_every_random_packing_is_weakly_dominated():
