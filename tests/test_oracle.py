@@ -107,13 +107,17 @@ def front_key(front) -> list:
 @st.composite
 def pruning_instances(draw) -> Instance:
     capacity = draw(st.sampled_from([60, 100, 150]))
-    pool = draw(st.sampled_from(["A", "AB", "ABC", "ABCDE"]))
+    pool = draw(st.sampled_from(["A", "AB", "ABC", "ABCDE", "ABCDEFGH"]))
     specs = draw(st.lists(st.tuples(st.integers(1, capacity), st.sampled_from(pool)),
                           min_size=1, max_size=8))
     return Instance(capacity=capacity, items=tuple(Item(w, a) for w, a in specs))
 
 
 @settings(deadline=None, max_examples=150)
+# an unseen-attribute count one too high, or one that counts held attributes,
+# prunes a partition that is efficient here
+@example(Instance(capacity=100, items=tuple(
+    Item(w, a) for w, a in ((1, "A"), (1, "B"), (84, "A"), (15, "B"), (16, "A")))))
 @given(pruning_instances())
 def test_pruned_oracle_matches_plain_enumeration(inst):
     assert front_key(exact_pareto(inst)) == front_key(reference_exact_pareto(inst))
@@ -134,13 +138,25 @@ def count_offers(monkeypatch, oracle, inst) -> tuple[list, int]:
     return front, offers
 
 
-def test_prune_never_fires_when_every_attribute_is_distinct(monkeypatch):
+def test_attribute_bound_prunes_when_every_attribute_is_distinct(monkeypatch):
     inst = Instance(capacity=100, items=tuple(Item(1, label) for label in "ABCDEFGH"))
     front, offers = count_offers(monkeypatch, exact_pareto, inst)
     reference, reference_offers = count_offers(monkeypatch, reference_exact_pareto, inst)
     assert [v for v, _ in front] == [ObjectiveVector(k, Fraction(8, k)) for k in range(1, 9)]
     assert front_key(front) == front_key(reference)
-    assert offers == reference_offers == 4140  # Bell(8): every partition is offered
+    # every (k, 8 / k) is efficient, so only the unseen-attribute term prunes;
+    # the reference offers all Bell(8) partitions
+    assert (offers, reference_offers) == (35, 4140)
+
+
+def test_attribute_bound_keeps_ten_distinct_attributes_small(monkeypatch):
+    inst = Instance(capacity=100, items=tuple(Item(1, label) for label in "ABCDEFGHIJ"))
+    front, offers = count_offers(monkeypatch, exact_pareto, inst)
+    assert [v for v, _ in front] == [ObjectiveVector(k, Fraction(10, k)) for k in range(1, 11)]
+    for vector, witness in front:
+        validate_solution(witness)
+        assert evaluate(witness) == vector
+    assert offers < 100  # against Bell(10) = 115,975 partitions
 
 
 def test_prune_fires_at_once_on_one_attribute(monkeypatch):
@@ -179,7 +195,7 @@ def test_every_random_packing_is_weakly_dominated():
         assert any(v == vector or (v.z1 <= vector.z1 and v.z2 <= vector.z2) for v in front)
 
 
-def test_cap_is_enforced_and_configurable():
+def test_cap_is_enforced():
     rng = random.Random(1)
     with pytest.raises(ValueError, match="11 items.*capped at 10"):
         exact_pareto(random_instance(rng, n=11))
