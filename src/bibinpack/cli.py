@@ -5,14 +5,15 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import shutil
 import sys
+import tempfile
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .archive import ParetoArchive
 from .construct import Heuristic, Ordering, SweepParams, level_count, run_sweep
@@ -132,22 +133,10 @@ def _write_timings(path: Path, timings: list[tuple[Heuristic, Ordering, float]])
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable[list[object]]) -> None:
-    with _replacing(path) as partial, open(partial, "w", encoding="utf-8", newline="") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-@contextmanager
-def _replacing(path: Path) -> Iterator[Path]:
-    """Yield a temporary path beside `path` and move it into place when the block
-    completes, so a failure midway leaves any old file intact."""
-    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        yield partial
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -172,13 +161,19 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"step {params.step} gives {levels} heterogeneousness levels; "
                              f"at most {MAX_LEVELS} are allowed")
         out_dir.mkdir(parents=True, exist_ok=True)
-        results_path = run_experiment(instance, heuristics, orderings, params, out_dir)
-        # only now, so a failed run cannot pair a new instance with old results
-        if args.generate is not None:
-            with _replacing(out_dir / "instance.txt") as partial:
-                write_instance(instance, partial)
+        # every output is staged first and moved into place only once all of
+        # them exist, so a failed run leaves the previous outputs as they were
+        staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+        try:
+            run_experiment(instance, heuristics, orderings, params, staging)
+            if args.generate is not None:
+                write_instance(instance, staging / "instance.txt")
+            for staged in sorted(staging.iterdir()):
+                os.replace(staged, out_dir / staged.name)
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
     except (OSError, ValueError) as exc:
         print(f"bibinpack: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"wrote {results_path}")
+    print(f"wrote {out_dir / 'results.csv'}")
     return EXIT_OK

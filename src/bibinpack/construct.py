@@ -52,6 +52,9 @@ class SweepParams:
         if step > 1:
             # past the generated __init__, so the warning names the caller's line
             warnings.warn(f"step {step} > 1 skips heterogeneousness levels", stacklevel=3)
+        for name in ("solutions_per_level", "rng_seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.solutions_per_level < 1:
             raise ValueError(
                 f"solutions_per_level must be >= 1, got {self.solutions_per_level}"

@@ -16,25 +16,32 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     Enumerates set partitions of the items in restricted-growth order (each
     item joins an existing block or opens the next one, so bin symmetry never
     produces duplicates), skipping any block that would exceed capacity, and
-    folds each complete partition into a `ParetoArchive`. Results are sorted
-    by ascending bin count.
+    folds each complete partition into a `ParetoArchive`. Each open block
+    keeps its attributes as one bitmask, so the summed heterogeneousness `S`
+    grows by one exactly when an item's bit is new to its block. Results are
+    sorted by ascending bin count.
 
     A partial partition is dropped once the archive weakly dominates every
-    vector a completion of it could reach. With `used` bins open, summed
-    heterogeneousness `S` and `j` items placed, a completion ends with some
-    `k` bins between `max(used, ceil(W / C))` and `used + n - j`. It adds at
-    least `max(k - used, u)` (bin, attribute) pairs, where `u` counts the
-    distinct attributes of the unplaced items that no open bin holds: each
-    new bin holds at least one attribute, and each such attribute needs a
-    pair of its own, but a new bin's first pair may be one of them. So its
-    z2 is at least `(S + max(k - used, u)) / k`. The least z2 of the archive
-    entries with `z1 <= k` is kept per `k` in a table, rebuilt only when the
-    archive accepts a partition, so the test costs one comparison per `k`.
-    When that least z2 is within the bound for every such `k`, `update`
-    would reject every completion, so skipping them is exact: an entry is
-    only ever evicted by one that dominates it, hence the vectors, the
-    first-seen witnesses and their bin order are those of the plain
-    enumeration.
+    vector a completion of it could reach. With `used` bins open and `j`
+    items placed, a completion ends with some `k` bins between
+    `max(used, ceil(W / C))` and `used + n - j`. It adds at least
+    `max(k - used, u)` (bin, attribute) pairs, where `u` counts the distinct
+    attributes of the unplaced items that no open bin holds: each new bin
+    holds at least one attribute, and each such attribute needs a pair of
+    its own, but a new bin's first pair may be one of them. So its z2 is at
+    least `(S + max(k - used, u)) / k`. The open bins hold exactly the
+    attributes of the placed items, so `u` depends on `j` alone and is
+    counted in advance.
+
+    The bound is tested against a table of the least z2 of the archive
+    entries with `z1 <= k`, one comparison per `k`. The table is a running
+    minimum: accepting `(used, z)` lowers each entry from `k = used` on to
+    at most `z` and leaves the rest, which is exact because every entry the
+    new one evicts has `z1 >= used` and a z2 of at least `z`. When the least
+    z2 is within the bound for every such `k`, `update` would reject every
+    completion, so skipping them is exact: an entry is only ever evicted by
+    one that dominates it, hence the vectors, the first-seen witnesses and
+    their bin order are those of the plain enumeration.
 
     When every item has its own attribute the bound is exact and few
     partitions are offered (54 at n = 10, against Bell(10) = 115,975
@@ -47,18 +54,18 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
         raise ValueError(f"instance has {n} items; exact enumeration is capped at {MAX_ITEMS}")
     weights = [item.weight for item in instance.items]
     attributes = [item.attribute for item in instance.items]
+    # each attribute's bit is numbered by its first item
+    bits = [1 << attributes.index(attribute) for attribute in attributes]
     capacity = instance.capacity
     fewest_bins = -(-sum(weights) // capacity)
-    unplaced = [set(attributes[j:]) for j in range(n + 1)]
+    # the attributes of items j onwards that none of the first j items has
+    unseen = [len(set(attributes[j:]) - set(attributes[:j])) for j in range(n + 1)]
 
-    # the witness is the block label of each item; summed heterogeneousness is
-    # the number of distinct (block, attribute) pairs, tracked per block, and
-    # holders counts the open blocks holding each attribute
+    # the witness is the block label of each item
     archive = ParetoArchive()
     labels: list[int] = []
     loads: list[int] = []
-    mixes: list[set[str]] = []
-    holders = dict.fromkeys(instance.attribute_universe, 0)
+    masks: list[int] = []
     # best[k] is the least z2 of an archive entry with z1 <= k, as a
     # (numerator, denominator) pair; (1, 0) means none and beats no bound
     best = [(1, 0)] * (n + 1)
@@ -66,21 +73,17 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     def offer(mixing: int) -> None:
         used = len(loads)
         if archive.update(ObjectiveVector(used, Fraction(mixing, used)), tuple(labels)):
-            # the archive is an antichain, so z2 falls as z1 grows
-            at = {vector.z1: vector.z2 for vector in archive.vectors()}
-            least = (1, 0)
-            for k in range(n + 1):
-                if k in at:
-                    least = (at[k].numerator, at[k].denominator)
-                best[k] = least
+            for k in range(used, n + 1):
+                numerator, denominator = best[k]
+                if mixing * denominator < numerator * used:
+                    best[k] = (mixing, used)
 
     def hopeless(j: int, mixing: int) -> bool:
         used = len(loads)
-        unseen = sum(1 for attribute in unplaced[j] if not holders[attribute])
         for k in range(max(used, fewest_bins), used + n - j + 1):
-            # z2 >= (mixing + max(k - used, unseen)) / k, compared without a Fraction
+            # z2 >= (mixing + max(k - used, unseen[j])) / k, compared without a Fraction
             numerator, denominator = best[k]
-            if numerator * k > (mixing + max(k - used, unseen)) * denominator:
+            if numerator * k > (mixing + max(k - used, unseen[j])) * denominator:
                 return False
         return True
 
@@ -91,30 +94,24 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
         if hopeless(j, mixing):
             return
         weight = weights[j]
-        attribute = attributes[j]
+        bit = bits[j]
         for b in range(len(loads)):
             if loads[b] + weight <= capacity:
-                fresh = attribute not in mixes[b]
-                if fresh:
-                    mixes[b].add(attribute)
-                    holders[attribute] += 1
+                mask = masks[b]
                 labels.append(b)
                 loads[b] += weight
-                extend(j + 1, mixing + fresh)
+                masks[b] = mask | bit
+                extend(j + 1, mixing + (mask & bit == 0))
                 labels.pop()
                 loads[b] -= weight
-                if fresh:
-                    mixes[b].discard(attribute)
-                    holders[attribute] -= 1
+                masks[b] = mask
         labels.append(len(loads))
         loads.append(weight)
-        mixes.append({attribute})
-        holders[attribute] += 1
+        masks.append(bit)
         extend(j + 1, mixing + 1)
         labels.pop()
         loads.pop()
-        mixes.pop()
-        holders[attribute] -= 1
+        masks.pop()
 
     extend(0, 0)
     results: list[tuple[ObjectiveVector, Solution]] = []

@@ -190,6 +190,23 @@ def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
     assert {name: (out / name).read_bytes() for name in names} == before
 
 
+@pytest.mark.parametrize("writer", ["_write_timings", "write_instance"])
+def test_failed_write_keeps_every_previous_output(tmp_path, monkeypatch, writer):
+    out = tmp_path / "rerun"
+    assert main(["--generate", "20", "--seed", "4", "--out", str(out), *FAST]) == EXIT_OK
+    names = ["instance.txt", "results.csv", "timings.csv"]
+    before = {name: (out / name).read_bytes() for name in names}
+
+    def failing_writer(*_):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, writer, failing_writer)
+    # a different seed, so any file the rerun replaced would show
+    assert main(["--generate", "20", "--seed", "5", "--out", str(out), *FAST]) == EXIT_USAGE
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
 def test_step_above_one_warns_once_at_the_caller(tmp_path):
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")

@@ -258,6 +258,12 @@ def test_sweep_params_validation():
         SweepParams(step=Fraction(0))
     with pytest.raises(ValueError, match="solutions_per_level"):
         SweepParams(solutions_per_level=0)
+    for bad in (2.5, "3"):
+        with pytest.raises(ValueError, match="solutions_per_level must be an int"):
+            SweepParams(solutions_per_level=bad)
+    for bad in ("7", 7.0):
+        with pytest.raises(ValueError, match="rng_seed must be an int"):
+            SweepParams(rng_seed=bad)
     with pytest.warns(UserWarning, match="skips") as record:
         SweepParams(step=Fraction(3, 2))
     assert [warning.filename for warning in record] == [__file__]
