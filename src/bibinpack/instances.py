@@ -54,7 +54,12 @@ def write_instance(instance: Instance, path: str | Path) -> None:
 def read_instance(path: str | Path) -> Instance:
     """Parse an instance file; malformed input raises InstanceFormatError
     naming the offending line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # number lines as splitlines does below, so "\r" endings count too
+        line_number = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise InstanceFormatError(f"line {line_number}: not valid UTF-8") from None
     if not lines:
         raise InstanceFormatError("line 1: empty file, expected 'n capacity' header")
     header = lines[0].split()

@@ -17,8 +17,8 @@ class Item:
     attribute: str
 
     def __post_init__(self) -> None:
-        if self.weight < 1:
-            raise ValueError(f"weight must be >= 1, got {self.weight}")
+        if not isinstance(self.weight, int) or self.weight < 1:
+            raise ValueError(f"weight must be an int >= 1, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,8 @@ class Instance:
     """A packing problem: bin capacity plus the items to distribute.
 
     Construction validates everything downstream code relies on, so an
-    Instance that exists is feasible: every item fits an empty bin.
+    Instance that exists has int weights and capacity and str attributes,
+    and is feasible: every item fits an empty bin.
     """
 
     capacity: int
@@ -35,8 +36,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
+        if not isinstance(self.capacity, int) or self.capacity < 1:
+            raise ValueError(f"capacity must be an int >= 1, got {self.capacity!r}")
         if not self.items:
             raise ValueError("instance needs at least one item")
         for position, item in enumerate(self.items):
@@ -46,6 +47,9 @@ class Instance:
                     f"{self.capacity}, no feasible packing exists"
                 )
         universe = frozenset(item.attribute for item in self.items)
+        for attribute in universe:
+            if not isinstance(attribute, str):
+                raise ValueError(f"attribute must be a str, got {attribute!r}")
         object.__setattr__(self, "attribute_universe", universe)
 
     @property

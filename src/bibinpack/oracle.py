@@ -46,7 +46,7 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     When every item has its own attribute the bound is exact and few
     partitions are offered (54 at n = 10, against Bell(10) = 115,975
     partitions). The cap is set by generated instances instead, whose
-    cost still grows steeply: at seed 7, n = 15 takes about 0.6 s and
+    cost still grows steeply: at seed 7, n = 15 takes about 0.5 s and
     n = 20 about 100 s.
     """
     n = instance.n
@@ -70,32 +70,25 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     # (numerator, denominator) pair; (1, 0) means none and beats no bound
     best = [(1, 0)] * (n + 1)
 
-    def offer(mixing: int) -> None:
+    def extend(j: int, mixing: int) -> None:
         used = len(loads)
-        if archive.update(ObjectiveVector(used, Fraction(mixing, used)), tuple(labels)):
-            for k in range(used, n + 1):
-                numerator, denominator = best[k]
-                if mixing * denominator < numerator * used:
-                    best[k] = (mixing, used)
-
-    def hopeless(j: int, mixing: int) -> bool:
-        used = len(loads)
+        if j == n:
+            if archive.update(ObjectiveVector(used, Fraction(mixing, used)), tuple(labels)):
+                for k in range(used, n + 1):
+                    numerator, denominator = best[k]
+                    if mixing * denominator < numerator * used:
+                        best[k] = (mixing, used)
+            return
         for k in range(max(used, fewest_bins), used + n - j + 1):
             # z2 >= (mixing + max(k - used, unseen[j])) / k, compared without a Fraction
             numerator, denominator = best[k]
             if numerator * k > (mixing + max(k - used, unseen[j])) * denominator:
-                return False
-        return True
-
-    def extend(j: int, mixing: int) -> None:
-        if j == n:
-            offer(mixing)
-            return
-        if hopeless(j, mixing):
+                break
+        else:
             return
         weight = weights[j]
         bit = bits[j]
-        for b in range(len(loads)):
+        for b in range(used):
             if loads[b] + weight <= capacity:
                 mask = masks[b]
                 labels.append(b)
@@ -105,7 +98,7 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
                 labels.pop()
                 loads[b] -= weight
                 masks[b] = mask
-        labels.append(len(loads))
+        labels.append(used)
         loads.append(weight)
         masks.append(bit)
         extend(j + 1, mixing + 1)

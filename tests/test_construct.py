@@ -169,6 +169,14 @@ def test_assign_rejects_overfull_target():
         partial.assign(1, 0)
 
 
+def test_partial_solution_rejects_more_items_than_the_index_holds(monkeypatch):
+    # the real limit is 2**20 - 1 items; a 2-bit index shows the same guard
+    monkeypatch.setattr("bibinpack.construct._INDEX_MASK", 3)
+    inst = simple_instance([(1, "A")] * 4, capacity=10)
+    with pytest.raises(ValueError, match="limited to 3 items"):
+        PartialSolution(inst)
+
+
 # ------------------------------------------------------------- full builds
 
 def test_construct_at_level_one_is_fully_homogeneous():

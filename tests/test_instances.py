@@ -99,19 +99,21 @@ def test_roundtrip_is_identity_for_any_writable_instance(tmp_path, inst):
     assert read_instance(path) == inst
 
 
-# near-miss files from the format's own characters, plus arbitrary text
-FILE_TEXT = st.one_of(
-    st.text(st.sampled_from("0123456789 -+\t\n\rAB"), max_size=60),
-    st.text(st.characters(exclude_categories=("Cs",)), max_size=60),
+# near-miss files from the format's own characters, arbitrary text, and
+# arbitrary bytes, which are mostly not UTF-8
+FILE_BYTES = st.one_of(
+    st.text(st.sampled_from("0123456789 -+\t\n\rAB"), max_size=60).map(str.encode),
+    st.text(st.characters(exclude_categories=("Cs",)), max_size=60).map(str.encode),
+    st.binary(max_size=60),
 )
 
 
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=FILE_TEXT)
-def test_read_raises_only_format_errors_on_any_text(tmp_path, text):
+@given(raw=FILE_BYTES)
+def test_read_raises_only_format_errors_on_any_text(tmp_path, raw):
     path = tmp_path / "any.txt"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(raw)
     try:
         inst = read_instance(path)
     except InstanceFormatError:
@@ -159,6 +161,29 @@ def test_read_reports_bad_header(tmp_path):
     assert "line 1" in parse_error(tmp_path, "just-one-token\n")
     assert "line 1" in parse_error(tmp_path, "x 100\n")
     assert "line 1" in parse_error(tmp_path, "")
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("0 100\n", "line 1: item count must be >= 1, got 0"),
+        ("1 0\n1 A\n", "line 1: capacity must be >= 1, got 0"),
+        ("1 100\n0 A\n", "line 2: weight must be >= 1, got 0"),
+    ],
+)
+def test_read_reports_nonpositive_header_and_weight(tmp_path, text, expected):
+    assert parse_error(tmp_path, text) == expected
+
+
+@pytest.mark.parametrize(
+    ("raw", "line_number"),
+    [(b"2 100\n10 \xff\n20 B\n", 2), (b"\xff", 1), (b"2 100\r10 A\r\n20 \xff\r", 3)],
+)
+def test_read_reports_the_line_of_the_first_non_utf8_byte(tmp_path, raw, line_number):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(raw)
+    with pytest.raises(InstanceFormatError, match=rf"^line {line_number}: not valid UTF-8$"):
+        read_instance(path)
 
 
 def test_read_reports_trailing_garbage(tmp_path):

@@ -58,6 +58,23 @@ def test_instance_rejects_empty():
         Instance(capacity=10, items=())
 
 
+@pytest.mark.parametrize("weight", [10.5, 10.0])
+def test_instance_rejects_non_integer_weight(weight):
+    with pytest.raises(ValueError, match="weight must be an int"):
+        Instance(capacity=100, items=(Item(weight, "A"), Item(20, "B")))
+
+
+@pytest.mark.parametrize("capacity", [0, 100.5, 100.0])
+def test_instance_rejects_bad_capacity(capacity):
+    with pytest.raises(ValueError, match=f"capacity must be an int >= 1, got {capacity}"):
+        Instance(capacity=capacity, items=(Item(10, "A"), Item(20, "B")))
+
+
+def test_instance_rejects_non_string_attribute():
+    with pytest.raises(ValueError, match="attribute must be a str, got 7"):
+        Instance(capacity=100, items=(Item(10, "A"), Item(20, 7)))
+
+
 def test_attribute_universe_matches_items():
     inst = Instance(capacity=10, items=(Item(3, "A"), Item(4, "B"), Item(2, "A")))
     assert inst.attribute_universe == frozenset({"A", "B"})
