@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Any, Iterator
 
-from .model import ObjectiveVector, dominates
+from .model import ObjectiveVector
 
 
 class ParetoArchive:
@@ -13,11 +14,14 @@ class ParetoArchive:
     The witness is opaque to the archive: sweeps store a `Solution`, the
     oracle a compact label tuple. On identical vectors the first-seen
     witness is kept, so a seeded run always reports the same packings.
-    Dominance checks are linear scans; archives for this problem stay tiny.
+    Entries are kept in ascending z1, so on an antichain their z2 strictly
+    descends, and an offer is settled by one bisection on z1.
     """
 
     def __init__(self) -> None:
         self._entries: list[tuple[ObjectiveVector, Any]] = []
+        # z1 of each entry, parallel to _entries, for bisection
+        self._z1s: list[int] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -34,13 +38,23 @@ class ParetoArchive:
         Returns True when the candidate joined the archive, False when an
         existing entry dominates or equals it (making update idempotent).
         """
-        for incumbent, _ in self._entries:
-            if incumbent == vector or dominates(incumbent, vector):
-                return False
-        self._entries = [(v, s) for v, s in self._entries if not dominates(vector, v)]
-        self._entries.append((vector, witness))
+        z1s = self._z1s
+        entries = self._entries
+        z1, z2 = vector.z1, vector.z2
+        end = bisect_right(z1s, z1)
+        # of the entries with no greater z1, the last has the least z2, so it
+        # alone decides whether one of them dominates or equals the candidate
+        if end and entries[end - 1][0].z2 <= z2:
+            return False
+        # the entries the candidate dominates (no less in both objectives) form
+        # one run that starts at the first entry with no less z1
+        start = stop = bisect_left(z1s, z1, 0, end)
+        while stop < len(entries) and entries[stop][0].z2 >= z2:
+            stop += 1
+        entries[start:stop] = [(vector, witness)]
+        z1s[start:stop] = [z1]
         return True
 
     def sorted_entries(self) -> list[tuple[ObjectiveVector, Any]]:
         """Entries in reporting order: bin count descending, heterogeneousness ascending."""
-        return sorted(self._entries, key=lambda entry: (-entry[0].z1, entry[0].z2))
+        return self._entries[::-1]

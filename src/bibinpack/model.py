@@ -17,7 +17,7 @@ class Item:
     attribute: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or self.weight < 1:
+        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
             raise ValueError(f"weight must be an int >= 1, got {self.weight!r}")
 
 
@@ -36,8 +36,9 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        if not isinstance(self.capacity, int) or self.capacity < 1:
-            raise ValueError(f"capacity must be an int >= 1, got {self.capacity!r}")
+        capacity = self.capacity
+        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
+            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
         if not self.items:
             raise ValueError("instance needs at least one item")
         for position, item in enumerate(self.items):

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the package's internals:
 plain full-scan loops and brute-force filters, no shared data structures.
 The one exception is `reference_exact_pareto`, which folds into the
 package's `ParetoArchive` so that its first-seen witnesses can be compared
-with the pruned oracle's bin for bin.
+with the pruned oracle's bin for bin, and so that the offer counts in
+`tests/test_oracle.py` see its offers through that class.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from fractions import Fraction
 
 from bibinpack.archive import ParetoArchive
-from bibinpack.model import Bin, Instance, Item, ObjectiveVector, Solution
+from bibinpack.model import Bin, Instance, Item, ObjectiveVector, Solution, dominates
 
 
 def random_instance(
@@ -118,6 +119,25 @@ def brute_force_front(vectors: list) -> set:
         if not beaten:
             front.add(v)
     return front
+
+
+class ReferenceArchive:
+    """The archive as a plain linear scan: reject on an equal or dominating
+    entry, evict every entry the candidate dominates, append on accept."""
+
+    def __init__(self) -> None:
+        self.entries: list = []
+
+    def update(self, vector: ObjectiveVector, witness) -> bool:
+        for incumbent, _ in self.entries:
+            if incumbent == vector or dominates(incumbent, vector):
+                return False
+        self.entries = [(v, w) for v, w in self.entries if not dominates(vector, v)]
+        self.entries.append((vector, witness))
+        return True
+
+    def sorted_entries(self) -> list:
+        return sorted(self.entries, key=lambda entry: (-entry[0].z1, entry[0].z2))
 
 
 def reference_exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:

@@ -58,13 +58,13 @@ def test_instance_rejects_empty():
         Instance(capacity=10, items=())
 
 
-@pytest.mark.parametrize("weight", [10.5, 10.0])
+@pytest.mark.parametrize("weight", [10.5, 10.0, True])
 def test_instance_rejects_non_integer_weight(weight):
     with pytest.raises(ValueError, match="weight must be an int"):
         Instance(capacity=100, items=(Item(weight, "A"), Item(20, "B")))
 
 
-@pytest.mark.parametrize("capacity", [0, 100.5, 100.0])
+@pytest.mark.parametrize("capacity", [0, 100.5, 100.0, True])
 def test_instance_rejects_bad_capacity(capacity):
     with pytest.raises(ValueError, match=f"capacity must be an int >= 1, got {capacity}"):
         Instance(capacity=capacity, items=(Item(10, "A"), Item(20, "B")))
