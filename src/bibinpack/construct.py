@@ -93,26 +93,25 @@ class PartialSolution:
         attribute caps are the bin-selection functions' concern.
         """
         item = self.instance.items[item_id]
-        bit = self.bit_of[item.attribute]
         if index is None:
             index = len(self.loads)
-            self.loads.append(item.weight)
-            self.members.append([item_id])
-            self.attribute_masks.append(bit)
-            insort(self.by_residual, (self.capacity - item.weight) << _INDEX_BITS | index)
-            return index
+            self.loads.append(0)
+            self.members.append([])
+            self.attribute_masks.append(0)
         load = self.loads[index]
         if load + item.weight > self.capacity:
             raise ValueError(
                 f"item {item_id} does not fit bin {index}: "
                 f"{load} + {item.weight} > {self.capacity}"
             )
-        old_key = (self.capacity - load) << _INDEX_BITS | index
-        self.by_residual.pop(bisect_left(self.by_residual, old_key))
+        # only a bin that holds an item has a key: weights are >= 1, so load 0 means new
+        if load:
+            old_key = (self.capacity - load) << _INDEX_BITS | index
+            self.by_residual.pop(bisect_left(self.by_residual, old_key))
         load += item.weight
         self.loads[index] = load
         self.members[index].append(item_id)
-        self.attribute_masks[index] |= bit
+        self.attribute_masks[index] |= self.bit_of[item.attribute]
         insort(self.by_residual, (self.capacity - load) << _INDEX_BITS | index)
         return index
 

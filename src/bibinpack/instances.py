@@ -25,6 +25,10 @@ def generate_instance(n: int, rng_seed: int) -> Instance:
     packing with n/5 bins therefore always exists, matching the trivial
     lower bound.
     """
+    # None would seed from OS entropy, and a bool or str would seed silently
+    for name, value in (("n", n), ("rng_seed", rng_seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n < GROUP_SIZE or n % GROUP_SIZE:
         raise ValueError(f"n must be a positive multiple of {GROUP_SIZE}, got {n}")
     rng = random.Random(rng_seed)

@@ -106,20 +106,13 @@ def format_z2(value: Fraction) -> str:
     return f"{whole}.{fractional:03d}"
 
 
-def bin_count(solution: Solution) -> int:
-    """First objective: number of bins the solution uses."""
-    return len(solution.bins)
-
-
-def average_heterogeneousness(solution: Solution) -> Fraction:
-    """Second objective: mean count of distinct attributes over used bins, exact."""
+def evaluate(solution: Solution) -> ObjectiveVector:
+    """Both objectives: z1, the number of used bins, and z2, the exact mean
+    count of distinct attributes over those bins."""
+    used = len(solution.bins)
     items = solution.instance.items
     total = sum(len({items[i].attribute for i in b.member_ids}) for b in solution.bins)
-    return Fraction(total, len(solution.bins))
-
-
-def evaluate(solution: Solution) -> ObjectiveVector:
-    return ObjectiveVector(bin_count(solution), average_heterogeneousness(solution))
+    return ObjectiveVector(used, Fraction(total, used))
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:

@@ -90,7 +90,11 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
             return
         weight = weights[j]
         bit = bits[j]
-        for b in range(used):
+        for b in range(used + 1):
+            if b == used:
+                # the last turn fills a new, empty block like an open one
+                loads.append(0)
+                masks.append(0)
             if loads[b] + weight <= capacity:
                 mask = masks[b]
                 labels.append(b)
@@ -100,11 +104,6 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
                 labels.pop()
                 loads[b] -= weight
                 masks[b] = mask
-        labels.append(used)
-        loads.append(weight)
-        masks.append(bit)
-        extend(j + 1, mixing + 1)
-        labels.pop()
         loads.pop()
         masks.pop()
 

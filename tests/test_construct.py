@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibinpack.construct import (
+    _INDEX_BITS,
     Heuristic,
     Ordering,
     PartialSolution,
@@ -25,7 +26,6 @@ from bibinpack.construct import (
 from bibinpack.model import (
     Instance,
     Item,
-    average_heterogeneousness,
     evaluate,
     validate_solution,
 )
@@ -136,7 +136,7 @@ def test_best_fit_counts_existing_attribute_as_free():
     inst = simple_instance([(2, "A"), (2, "B"), (2, "A")], capacity=10)
     partial = build_partial(inst, [(0, None)])
     partial.assign(1, 0)
-    assert average_heterogeneousness(partial.to_solution()) == 2
+    assert evaluate(partial.to_solution()).z2 == 2
     assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=2) == 0
 
 
@@ -169,6 +169,34 @@ def test_assign_rejects_overfull_target():
         partial.assign(1, 0)
 
 
+@settings(deadline=None)
+@given(
+    specs=st.lists(st.tuples(st.integers(1, 100), st.sampled_from("ABC")), min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_assign_keeps_packing_state_consistent(specs, data):
+    inst = Instance(capacity=100, items=tuple(Item(w, a) for w, a in specs))
+    bit = {a: 1 << k for k, a in enumerate(sorted(inst.attribute_universe))}
+    partial = PartialSolution(inst)
+    for item_id in data.draw(st.permutations(range(inst.n))):
+        weight = inst.items[item_id].weight
+        roomy = [i for i, load in enumerate(partial.loads) if load + weight <= inst.capacity]
+        target = data.draw(st.sampled_from([None, *roomy]))
+        opened = len(partial.loads)
+        assert partial.assign(item_id, target) == (opened if target is None else target)
+        assert partial.by_residual == sorted(
+            (inst.capacity - load) << _INDEX_BITS | i for i, load in enumerate(partial.loads)
+        )
+        assert len(partial.members) == len(partial.loads) == len(partial.attribute_masks)
+        for i, ids in enumerate(partial.members):
+            assert partial.loads[i] == sum(inst.items[k].weight for k in ids)
+            mask = 0
+            for k in ids:
+                mask |= bit[inst.items[k].attribute]
+            assert partial.attribute_masks[i] == mask
+    assert sorted(k for ids in partial.members for k in ids) == list(range(inst.n))
+
+
 def test_partial_solution_rejects_more_items_than_the_index_holds(monkeypatch):
     # the real limit is 2**20 - 1 items; a 2-bit index shows the same guard
     monkeypatch.setattr("bibinpack.construct._INDEX_MASK", 3)
@@ -187,7 +215,7 @@ def test_construct_at_level_one_is_fully_homogeneous():
         solution = construct_solution(inst, params, Fraction(1), random.Random(5))
         validate_solution(solution)
         # every bin holds at least one attribute, so a mean of 1 means each holds one
-        assert average_heterogeneousness(solution) == Fraction(1)
+        assert evaluate(solution).z2 == Fraction(1)
 
 
 def test_construct_is_deterministic_per_seed():

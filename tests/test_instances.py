@@ -55,6 +55,15 @@ def test_generate_rejects_bad_sizes(bad_n):
         generate_instance(bad_n, rng_seed=0)
 
 
+@pytest.mark.parametrize("bad", [True, 1.5, "x", None])
+def test_generate_rejects_non_integer_arguments(bad):
+    # True would reproduce seed 1's instance and None an unseeded one
+    with pytest.raises(ValueError, match=f"rng_seed must be an int, got {bad!r}"):
+        generate_instance(10, rng_seed=bad)
+    with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
+        generate_instance(bad, rng_seed=0)
+
+
 def test_attribute_frequencies_are_balanced():
     # chi-square over 10_000 items, df=4; 9.488 is the 5% critical value
     inst = generate_instance(10_000, rng_seed=1)

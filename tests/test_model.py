@@ -14,8 +14,6 @@ from bibinpack.model import (
     Item,
     ObjectiveVector,
     Solution,
-    average_heterogeneousness,
-    bin_count,
     dominates,
     evaluate,
     format_z2,
@@ -87,29 +85,29 @@ def test_lower_bound_rounds_up():
     assert inst.lower_bound == 2
 
 
-def test_bin_count_direct():
+def test_evaluate_z1_counts_bins():
     solution = grouped_solution(SIX_ITEMS, [[0, 1], [2], [3, 4, 5]])
-    assert bin_count(solution) == 3
-    assert bin_count(grouped_solution(SIX_ITEMS, [[0, 1, 2, 3, 4, 5]])) == 1
+    assert evaluate(solution).z1 == 3
+    assert evaluate(grouped_solution(SIX_ITEMS, [[0, 1, 2, 3, 4, 5]])).z1 == 1
 
 
-def test_average_heterogeneousness_homogeneous_is_one():
+def test_evaluate_z2_homogeneous_is_one():
     solution = grouped_solution(SIX_ITEMS, [[0, 1, 4], [2, 3, 5]])
-    assert average_heterogeneousness(solution) == Fraction(1)
+    assert evaluate(solution).z2 == Fraction(1)
 
 
-def test_average_heterogeneousness_is_plain_mean():
+def test_evaluate_z2_is_plain_mean():
     # bins with 2, 2, 1 distinct attributes
     solution = grouped_solution(SIX_ITEMS, [[0, 2], [1, 3], [5]])
-    assert average_heterogeneousness(solution) == Fraction(5, 3)
+    assert evaluate(solution).z2 == Fraction(5, 3)
 
 
-def test_average_heterogeneousness_against_recount():
+def test_evaluate_z2_against_recount():
     # frozen from the independent recount: u = [2, 2, 1] over three bins
     solution = grouped_solution(SIX_ITEMS, [[0, 1, 2], [3, 4], [5]])
-    assert average_heterogeneousness(solution) == Fraction(5, 3)
+    assert evaluate(solution).z2 == Fraction(5, 3)
     used, mean_mix = recount_objectives(solution)
-    assert (bin_count(solution), average_heterogeneousness(solution)) == (used, mean_mix)
+    assert (evaluate(solution).z1, evaluate(solution).z2) == (used, mean_mix)
 
 
 def test_evaluate_single_bin():
@@ -147,7 +145,7 @@ def test_evaluate_matches_componentwise_recount():
                 loads.append(item.weight)
         solution = grouped_solution(inst, groups)
         validate_solution(solution)
-        assert (bin_count(solution), average_heterogeneousness(solution)) == recount_objectives(solution)
+        assert (evaluate(solution).z1, evaluate(solution).z2) == recount_objectives(solution)
 
 
 def test_dominates_same_bins_better_mixing():
@@ -185,7 +183,7 @@ def test_z2_stays_within_attribute_universe_bounds():
     for _ in range(20):
         inst = random_instance(rng, n=rng.randint(2, 10), attribute_pool="ABCD")
         solution = grouped_solution(inst, [[i] for i in range(inst.n)])
-        z2 = average_heterogeneousness(solution)
+        z2 = evaluate(solution).z2
         assert Fraction(1) <= z2 <= len(inst.attribute_universe)
 
 
