@@ -7,7 +7,7 @@ from fractions import Fraction
 from .archive import ParetoArchive
 from .model import Bin, Instance, ObjectiveVector, Solution
 
-MAX_ITEMS = 10
+MAX_ITEMS = 15
 
 
 def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
@@ -41,14 +41,17 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     z2 is within the bound for every such `k`, `update` would reject every
     completion, so skipping them is exact: an entry is only ever evicted by
     one that dominates it, hence the vectors, the first-seen witnesses and
-    their bin order are those of the plain enumeration.
+    their bin order are those of the plain enumeration. A complete partition
+    is settled by the table too: z2 descends along the archive's z1 order,
+    so `update` tests `(used, z)` against the entry with the least z2 among
+    `z1 <= used`, and only a partition below it is offered. Every offer is
+    accepted.
 
-    When every item has its own attribute the bound is exact and few
-    partitions are offered (54 at n = 10, against Bell(10) = 115,975
-    partitions). Each offer costs the archive one bisection, so the search
-    nodes set the cost. The cap is set by generated instances instead,
-    whose cost still grows steeply: at seed 7, n = 15 takes about 0.3 s
-    and n = 20 about 60 s.
+    When every item has its own attribute the bound is exact and the search
+    stays small (212 nodes at n = 10, against Bell(10) = 115,975
+    partitions). The cap is set by generated instances, whose cost grows
+    steeply with the nodes: n = 15 takes under 0.6 s (seeds 0-29) and
+    n = 20 about 50 s at seed 7.
     """
     n = instance.n
     if n > MAX_ITEMS:
@@ -62,26 +65,28 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     # the attributes of items j onwards that none of the first j items has
     unseen = [len(set(attributes[j:]) - set(attributes[:j])) for j in range(n + 1)]
 
-    # the witness is the block label of each item
+    # labels is the witness; the slots from `used` on are empty blocks
     archive = ParetoArchive()
-    labels: list[int] = []
-    loads: list[int] = []
-    masks: list[int] = []
+    labels = [0] * n
+    loads = [0] * n
+    masks = [0] * n
     # best[k] is the least z2 of an archive entry with z1 <= k, as a
     # (numerator, denominator) pair; (1, 0) means none and beats no bound
     best = [(1, 0)] * (n + 1)
 
-    def extend(j: int, mixing: int) -> None:
-        used = len(loads)
+    def extend(j: int, used: int, mixing: int) -> None:
         if j == n:
-            if archive.update(ObjectiveVector(used, Fraction(mixing, used)), tuple(labels)):
+            numerator, denominator = best[used]
+            if numerator * used > mixing * denominator and archive.update(
+                ObjectiveVector(used, Fraction(mixing, used)), tuple(labels)
+            ):
                 for k in range(used, n + 1):
                     numerator, denominator = best[k]
                     if mixing * denominator < numerator * used:
                         best[k] = (mixing, used)
             return
         extra = unseen[j]
-        for k in range(max(used, fewest_bins), used + n - j + 1):
+        for k in range(used if used > fewest_bins else fewest_bins, used + n - j + 1):
             # z2 >= (mixing + max(k - used, extra)) / k, compared without a Fraction
             numerator, denominator = best[k]
             if numerator * k > (mixing + (k - used if k - used > extra else extra)) * denominator:
@@ -90,24 +95,19 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
             return
         weight = weights[j]
         bit = bits[j]
+        # the last turn fills the empty slot `used` like an open block
         for b in range(used + 1):
-            if b == used:
-                # the last turn fills a new, empty block like an open one
-                loads.append(0)
-                masks.append(0)
-            if loads[b] + weight <= capacity:
+            load = loads[b]
+            if load + weight <= capacity:
                 mask = masks[b]
-                labels.append(b)
-                loads[b] += weight
+                labels[j] = b
+                loads[b] = load + weight
                 masks[b] = mask | bit
-                extend(j + 1, mixing + (mask & bit == 0))
-                labels.pop()
-                loads[b] -= weight
+                extend(j + 1, used + (b == used), mixing + (mask & bit == 0))
+                loads[b] = load
                 masks[b] = mask
-        loads.pop()
-        masks.pop()
 
-    extend(0, 0)
+    extend(0, 0, 0)
     results: list[tuple[ObjectiveVector, Solution]] = []
     for vector, witness in archive:
         blocks: list[list[int]] = [[] for _ in range(vector.z1)]

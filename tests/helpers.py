@@ -1,11 +1,11 @@
 """Reference implementations the tests check the package against.
 
 Everything here is deliberately independent of the package's internals:
-plain full-scan loops and brute-force filters, no shared data structures.
-The one exception is `reference_exact_pareto`, which folds into the
-package's `ParetoArchive` so that its first-seen witnesses can be compared
-with the pruned oracle's bin for bin, and so that the offer counts in
-`tests/test_oracle.py` see its offers through that class.
+plain full-scan loops, brute-force filters and an integer program, no shared
+data structures. The one exception is `reference_exact_pareto`, which folds
+into the package's `ParetoArchive` so that its first-seen witnesses can be
+compared with the pruned oracle's bin for bin; it offers that class every
+capacity-feasible partition, which `tests/test_oracle.py` counts.
 """
 
 from __future__ import annotations
@@ -185,3 +185,64 @@ def reference_exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, So
         bins = tuple(Bin(frozenset(block)) for block in blocks)
         results.append((vector, Solution(bins=bins, instance=instance)))
     return results
+
+
+def milp_front(instance: Instance) -> set[ObjectiveVector]:
+    """The efficient set from one integer program per bin count `k`.
+
+    `x[i, b]` puts item i in bin b and `y[a, b]` marks attribute a as present
+    in bin b. Each item is in exactly one bin, each bin holds at most the
+    capacity and at least one item, an item needs its attribute's mark in its
+    bin, and item i goes to a bin no later than i, which breaks the symmetry
+    between bins. The least number of marks over exactly k bins gives the
+    vector `(k, marks / k)`.
+    The search stops at the first k whose least z2 is 1, as more bins cannot
+    beat it. Solved by HiGHS through `scipy.optimize.milp`.
+    """
+    import numpy as np
+    from scipy.optimize import LinearConstraint, milp
+
+    n = instance.n
+    weights = [item.weight for item in instance.items]
+    universe = sorted({item.attribute for item in instance.items})
+    attribute_of = [universe.index(item.attribute) for item in instance.items]
+    vectors = []
+    for k in range(-(-sum(weights) // instance.capacity), n + 1):
+        # x[i, b] is variable i * k + b; y[a, b] is n * k + a * k + b
+        count = (n + len(universe)) * k
+        rows, lower, upper = [], [], []
+
+        def constrain(coefficients: dict[int, int], low: float, high: float) -> None:
+            row = np.zeros(count)
+            for variable, coefficient in coefficients.items():
+                row[variable] = coefficient
+            rows.append(row)
+            lower.append(low)
+            upper.append(high)
+
+        for i in range(n):
+            constrain({i * k + b: 1 for b in range(k)}, 1, 1)
+        for b in range(k):
+            constrain({i * k + b: weights[i] for i in range(n)}, 0, instance.capacity)
+            constrain({i * k + b: 1 for i in range(n)}, 1, n)
+        for i in range(n):
+            for b in range(k):
+                constrain({i * k + b: 1, n * k + attribute_of[i] * k + b: -1}, -1, 0)
+        cost = np.zeros(count)
+        cost[n * k:] = 1
+        upper_bounds = np.ones(count)
+        for i in range(n):
+            upper_bounds[i * k + i + 1:i * k + k] = 0
+        result = milp(
+            cost,
+            integrality=np.ones(count),
+            bounds=(np.zeros(count), upper_bounds),
+            constraints=LinearConstraint(np.array(rows), lower, upper),
+        )
+        if result.status == 2:  # infeasible: no partition into exactly k bins
+            continue
+        assert result.success, result.message
+        vectors.append(ObjectiveVector(k, Fraction(round(result.fun), k)))
+        if vectors[-1].z2 == 1:
+            break
+    return brute_force_front(vectors)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -123,8 +124,9 @@ def test_pruned_oracle_matches_plain_enumeration(inst):
     assert front_key(exact_pareto(inst)) == front_key(reference_exact_pareto(inst))
 
 
-def count_offers(monkeypatch, oracle, inst) -> tuple[list, int]:
-    offers = 0
+def count_search(monkeypatch, oracle, inst) -> tuple[list, int, int]:
+    """The front, the search nodes (`extend` frames entered) and the archive offers."""
+    nodes = offers = 0
     update = ParetoArchive.update
 
     def counting(self, vector, witness):
@@ -132,42 +134,55 @@ def count_offers(monkeypatch, oracle, inst) -> tuple[list, int]:
         offers += 1
         return update(self, vector, witness)
 
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "extend":
+            nodes += 1
+
+    previous = sys.getprofile()
     with monkeypatch.context() as patched:
         patched.setattr(ParetoArchive, "update", counting)
-        front = oracle(inst)
-    return front, offers
+        sys.setprofile(profile)
+        try:
+            front = oracle(inst)
+        finally:
+            sys.setprofile(previous)
+    return front, nodes, offers
 
 
 def test_attribute_bound_prunes_when_every_attribute_is_distinct(monkeypatch):
     inst = Instance(capacity=100, items=tuple(Item(1, label) for label in "ABCDEFGH"))
-    front, offers = count_offers(monkeypatch, exact_pareto, inst)
-    reference, reference_offers = count_offers(monkeypatch, reference_exact_pareto, inst)
+    front, nodes, offers = count_search(monkeypatch, exact_pareto, inst)
+    reference, _, reference_offers = count_search(monkeypatch, reference_exact_pareto, inst)
     assert [v for v, _ in front] == [ObjectiveVector(k, Fraction(8, k)) for k in range(1, 9)]
     assert front_key(front) == front_key(reference)
-    # every (k, 8 / k) is efficient, so only the unseen-attribute term prunes;
-    # the reference offers all Bell(8) partitions
-    assert (offers, reference_offers) == (35, 4140)
+    # every (k, 8 / k) is efficient, so only the unseen-attribute term prunes
+    # nodes, and only the eight efficient partitions are offered; the
+    # reference offers all Bell(8) partitions
+    assert (nodes, offers, reference_offers) == (114, 8, 4140)
 
 
 def test_attribute_bound_keeps_ten_distinct_attributes_small(monkeypatch):
     inst = Instance(capacity=100, items=tuple(Item(1, label) for label in "ABCDEFGHIJ"))
-    front, offers = count_offers(monkeypatch, exact_pareto, inst)
+    front, nodes, offers = count_search(monkeypatch, exact_pareto, inst)
     assert [v for v, _ in front] == [ObjectiveVector(k, Fraction(10, k)) for k in range(1, 11)]
     for vector, witness in front:
         validate_solution(witness)
         assert evaluate(witness) == vector
+    assert (nodes, offers) == (212, 10)
     assert offers < 100  # against Bell(10) = 115,975 partitions
 
 
 def test_prune_fires_at_once_on_one_attribute(monkeypatch):
     inst = Instance(capacity=100, items=tuple(Item(w, "A") for w in (5, 9, 12, 7, 20, 3, 11, 8)))
-    front, offers = count_offers(monkeypatch, exact_pareto, inst)
-    reference, reference_offers = count_offers(monkeypatch, reference_exact_pareto, inst)
+    front, nodes, offers = count_search(monkeypatch, exact_pareto, inst)
+    reference, _, reference_offers = count_search(monkeypatch, reference_exact_pareto, inst)
     assert [v for v, _ in front] == [ObjectiveVector(1, Fraction(1))]
     assert front_key(front) == front_key(reference)
-    # the first partition is the single bin, which weakly dominates every completion:
-    # only its sibling leaf (the last item on its own) is still offered
-    assert (offers, reference_offers) == (2, 4140)
+    # the first partition is the single bin, which weakly dominates every
+    # completion: the search only reaches its sibling leaf (the last item on
+    # its own), and the table settles that leaf without an offer
+    assert (nodes, offers, reference_offers) == (16, 1, 4140)
 
 
 def test_every_random_packing_is_weakly_dominated():
@@ -197,6 +212,6 @@ def test_every_random_packing_is_weakly_dominated():
 
 def test_cap_is_enforced():
     rng = random.Random(1)
-    with pytest.raises(ValueError, match="11 items.*capped at 10"):
-        exact_pareto(random_instance(rng, n=11))
-    assert exact_pareto(random_instance(rng, n=10))
+    with pytest.raises(ValueError, match="16 items.*capped at 15"):
+        exact_pareto(random_instance(rng, n=16))
+    assert exact_pareto(random_instance(rng, n=15))

@@ -4,7 +4,7 @@ from bibinpack.archive import ParetoArchive
 from bibinpack.instances import generate_instance
 from bibinpack.oracle import exact_pareto
 
-from test_oracle import count_offers
+from test_oracle import count_search
 
 
 def test_search_counts_on_the_benchmark_instances(monkeypatch):
@@ -20,8 +20,11 @@ def test_search_counts_on_the_benchmark_instances(monkeypatch):
         return kept
 
     monkeypatch.setattr(ParetoArchive, "update", accepting)
-    offers = sum(
-        count_offers(monkeypatch, exact_pareto, generate_instance(10, seed))[1]
-        for seed in range(7, 19)
-    )
-    assert (offers, accepted) == (915, 199)
+    nodes = offers = 0
+    for seed in range(7, 19):
+        instance = generate_instance(10, seed)
+        _, seed_nodes, seed_offers = count_search(monkeypatch, exact_pareto, instance)
+        nodes += seed_nodes
+        offers += seed_offers
+    # the table settles every leaf, so each offer is accepted
+    assert (nodes, offers, accepted) == (4308, 199, 199)
