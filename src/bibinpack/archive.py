@@ -20,8 +20,6 @@ class ParetoArchive:
 
     def __init__(self) -> None:
         self._entries: list[tuple[ObjectiveVector, Any]] = []
-        # z1 of each entry, parallel to _entries, for bisection
-        self._z1s: list[int] = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -38,23 +36,25 @@ class ParetoArchive:
         Returns True when the candidate joined the archive, False when an
         existing entry dominates or equals it (making update idempotent).
         """
-        z1s = self._z1s
         entries = self._entries
         z1, z2 = vector.z1, vector.z2
-        end = bisect_right(z1s, z1)
+        end = bisect_right(entries, z1, key=_z1)
         # of the entries with no greater z1, the last has the least z2, so it
         # alone decides whether one of them dominates or equals the candidate
         if end and entries[end - 1][0].z2 <= z2:
             return False
         # the entries the candidate dominates (no less in both objectives) form
         # one run that starts at the first entry with no less z1
-        start = stop = bisect_left(z1s, z1, 0, end)
+        start = stop = bisect_left(entries, z1, 0, end, key=_z1)
         while stop < len(entries) and entries[stop][0].z2 >= z2:
             stop += 1
         entries[start:stop] = [(vector, witness)]
-        z1s[start:stop] = [z1]
         return True
 
     def sorted_entries(self) -> list[tuple[ObjectiveVector, Any]]:
         """Entries in reporting order: bin count descending, heterogeneousness ascending."""
         return self._entries[::-1]
+
+
+def _z1(entry: tuple[ObjectiveVector, Any]) -> int:
+    return entry[0].z1

@@ -26,7 +26,7 @@ EXIT_BAD_INSTANCE = 2
 # every level builds --reps packings per cell, so a finer grid cannot finish in practice
 MAX_LEVELS = 10_000
 
-Cell = tuple[Heuristic, Ordering, ParetoArchive]
+Cell = tuple[Heuristic, Ordering, ParetoArchive, float]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,18 +57,18 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--generate", type=int, metavar="N",
                         help="generate a benchmark instance with N items")
     source.add_argument("--instance", metavar="PATH", help="load an instance file")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for generation and the sweeps (default 0)")
+    parser.add_argument("--seed", type=int, default=SweepParams.rng_seed,
+                        help="seed for generation and the sweeps (default %(default)s)")
     parser.add_argument("--heuristic", default="all",
                         choices=[h.value for h in Heuristic] + ["all"],
                         help="which heuristic to run (default all)")
     parser.add_argument("--order", default="all",
                         choices=[o.value for o in Ordering] + ["all"],
                         help="item processing order (default all)")
-    parser.add_argument("--step", type=_fraction, default=Fraction(1, 10), metavar="S",
-                        help="heterogeneousness level increment (default 0.1)")
-    parser.add_argument("--reps", type=int, default=100, metavar="M",
-                        help="solutions built per level (default 100)")
+    parser.add_argument("--step", type=_fraction, default=SweepParams.step, metavar="S",
+                        help="heterogeneousness level increment (default %(default)s)")
+    parser.add_argument("--reps", type=int, default=SweepParams.solutions_per_level,
+                        metavar="M", help="solutions built per level (default %(default)s)")
     parser.add_argument("--out", default="results", metavar="DIR",
                         help="output directory (default results/)")
     return parser
@@ -89,7 +89,6 @@ def run_experiment(
     timings.csv, which is not.
     """
     cells: list[Cell] = []
-    timings: list[tuple[Heuristic, Ordering, float]] = []
     for heuristic in heuristics:
         for ordering in orderings:
             with warnings.catch_warnings():
@@ -99,34 +98,33 @@ def run_experiment(
             started = time.perf_counter()
             archive = run_sweep(instance, cell_params)
             elapsed = time.perf_counter() - started
-            cells.append((heuristic, ordering, archive))
-            timings.append((heuristic, ordering, elapsed))
+            cells.append((heuristic, ordering, archive, elapsed))
             print(f"{heuristic.value} / {ordering.value}: "
                   f"{len(archive)} vectors in {elapsed:.2f}s")
     write_instance(instance, out_dir / "instance.txt")
     _write_results(out_dir / "results.csv", cells)
-    _write_timings(out_dir / "timings.csv", timings)
+    _write_timings(out_dir / "timings.csv", cells)
 
 
 def _write_results(path: Path, cells: list[Cell]) -> None:
     # a row is best when its vector survives the archive folded from all cells
     union = ParetoArchive()
-    for _, _, archive in cells:
+    for _, _, archive, _ in cells:
         for vector, witness in archive:
             union.update(vector, witness)
     best = set(union.vectors())
     rows = (
         [heuristic.value, ordering.value, vector.z1, format_z2(vector.z2), int(vector in best)]
-        for heuristic, ordering, archive in cells
+        for heuristic, ordering, archive, _ in cells
         for vector, _ in archive.sorted_entries()
     )
     _write_csv(path, ["heuristic", "order", "z1", "z2", "best"], rows)
 
 
-def _write_timings(path: Path, timings: list[tuple[Heuristic, Ordering, float]]) -> None:
+def _write_timings(path: Path, cells: list[Cell]) -> None:
     rows = (
         [heuristic.value, ordering.value, f"{elapsed:.3f}"]
-        for heuristic, ordering, elapsed in timings
+        for heuristic, ordering, _, elapsed in cells
     )
     _write_csv(path, ["heuristic", "order", "seconds"], rows)
 

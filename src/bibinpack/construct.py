@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .archive import ParetoArchive
-from .model import Bin, Instance, Item, ObjectiveVector, Solution, evaluate
+from .model import Bin, Instance, Item, ObjectiveVector, Solution, evaluate, require_int
 
 # A bin's position in the residual index packs (residual, bin index) into one
 # int so bisection compares plain integers. Caps instances at 2**20 bins.
@@ -44,22 +44,19 @@ class SweepParams:
         # the kernel tests members with `is`, so a value string must become its member
         object.__setattr__(self, "heuristic", Heuristic(self.heuristic))
         object.__setattr__(self, "ordering", Ordering(self.ordering))
-        # a float step keeps the decimal the caller wrote, not its binary expansion
-        step = Fraction(str(self.step)) if isinstance(self.step, float) else Fraction(self.step)
+        try:
+            # a float keeps the decimal the caller wrote, and a bool fails as the text "True"
+            step = Fraction(str(self.step) if isinstance(self.step, (float, bool)) else self.step)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"step must be a rational number, got {self.step!r}") from None
         object.__setattr__(self, "step", step)
         if step <= 0:
             raise ValueError(f"step must be positive, got {step}")
         if step > 1:
             # past the generated __init__, so the warning names the caller's line
             warnings.warn(f"step {step} > 1 skips heterogeneousness levels", stacklevel=3)
-        for name in ("solutions_per_level", "rng_seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.solutions_per_level < 1:
-            raise ValueError(
-                f"solutions_per_level must be >= 1, got {self.solutions_per_level}"
-            )
+        require_int("solutions_per_level", self.solutions_per_level, 1)
+        require_int("rng_seed", self.rng_seed)
 
 
 class PartialSolution:

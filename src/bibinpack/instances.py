@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from .model import Instance, Item
+from .model import Instance, Item, require_int
 
 BENCHMARK_CAPACITY = 1000
 GROUP_SIZE = 5
@@ -26,9 +26,8 @@ def generate_instance(n: int, rng_seed: int) -> Instance:
     lower bound.
     """
     # None would seed from OS entropy, and a bool or str would seed silently
-    for name, value in (("n", n), ("rng_seed", rng_seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    require_int("n", n)
+    require_int("rng_seed", rng_seed)
     if n < GROUP_SIZE or n % GROUP_SIZE:
         raise ValueError(f"n must be a positive multiple of {GROUP_SIZE}, got {n}")
     rng = random.Random(rng_seed)
@@ -59,9 +58,9 @@ def read_instance(path: str | Path) -> Instance:
     """Parse an instance file; malformed input raises InstanceFormatError
     naming the offending line."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
-        # number lines as splitlines does below, so "\r" endings count too
+        # exc.object omits any BOM; number lines as splitlines does, so "\r" counts too
         line_number = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
         raise InstanceFormatError(f"line {line_number}: not valid UTF-8") from None
     if not lines:

@@ -6,6 +6,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
+def require_int(name: str, value: object, minimum: int | None = None) -> None:
+    """Raise ValueError unless value is an int, not a bool, and at least minimum."""
+    if not isinstance(value, int) or isinstance(value, bool) or (
+            minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an int{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Item:
     """A unit to pack: integer weight plus a nominal attribute label.
@@ -17,8 +25,7 @@ class Item:
     attribute: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
-            raise ValueError(f"weight must be an int >= 1, got {self.weight!r}")
+        require_int("weight", self.weight, 1)
 
 
 @dataclass(frozen=True)
@@ -36,9 +43,7 @@ class Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        capacity = self.capacity
-        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-            raise ValueError(f"capacity must be an int >= 1, got {capacity!r}")
+        require_int("capacity", self.capacity, 1)
         if not self.items:
             raise ValueError("instance needs at least one item")
         for position, item in enumerate(self.items):

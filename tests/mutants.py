@@ -1,0 +1,154 @@
+"""Mutation check: every mutant in the table must make its named tests fail.
+
+Usage: python tests/mutants.py
+
+For each mutant, `src/` is copied to a temporary directory, one exact edit
+is applied to the copy, and pytest runs the mutant's test files from the
+repository root against that copy, with a fixed hypothesis seed. A mutant
+is killed when pytest exits 1 (tests failed); any other non-zero exit is
+an error. Before the first mutant, the unedited copy must pass every
+listed file, and it must be the package that imports. The script prints
+one row per mutant and exits 1 on any survivor or error. A survivor calls
+for a stronger test, never for a weaker mutant or a looser bound.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+# (name, file under src/bibinpack/, exact old text, new text, test files that must fail)
+MUTANTS = [
+    # the shared integer rule and each field that states it
+    ("require_int accepts a bool", "model.py",
+     " or isinstance(value, bool) or (", " or (", ["test_model.py"]),
+    # test_model.py builds no item of weight 1; test_construct.py's instances do
+    ("require_int excludes its minimum", "model.py",
+     "value < minimum", "value <= minimum", ["test_construct.py"]),
+    ("Item.weight unchecked", "model.py",
+     '        require_int("weight", self.weight, 1)\n', "        pass\n", ["test_model.py"]),
+    ("Instance.capacity unchecked", "model.py",
+     '        require_int("capacity", self.capacity, 1)\n', "", ["test_model.py"]),
+    ("SweepParams.solutions_per_level unchecked", "construct.py",
+     '        require_int("solutions_per_level", self.solutions_per_level, 1)\n', "",
+     ["test_construct.py"]),
+    ("SweepParams.rng_seed unchecked", "construct.py",
+     '        require_int("rng_seed", self.rng_seed)\n', "", ["test_construct.py"]),
+    ("generate_instance n unchecked", "instances.py",
+     '    require_int("n", n)\n', "", ["test_instances.py"]),
+    ("generate_instance rng_seed unchecked", "instances.py",
+     '    require_int("rng_seed", rng_seed)\n', "", ["test_instances.py"]),
+    ("SweepParams step accepts a bool", "construct.py",
+     "isinstance(self.step, (float, bool))", "isinstance(self.step, float)",
+     ["test_construct.py"]),
+    ("read_instance rejects a byte-order mark", "instances.py",
+     '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
+    # ParetoArchive.update
+    ("archive rejection bisects left", "archive.py",
+     "end = bisect_right(entries,", "end = bisect_left(entries,", ["test_archive.py"]),
+    ("archive accepts an equal vector", "archive.py",
+     "entries[end - 1][0].z2 <= z2", "entries[end - 1][0].z2 < z2", ["test_archive.py"]),
+    ("archive keeps an entry of equal z2", "archive.py",
+     "entries[stop][0].z2 >= z2", "entries[stop][0].z2 > z2", ["test_archive.py"]),
+    ("archive evicts at most one entry", "archive.py",
+     "        while stop < len(entries)", "        if stop < len(entries)", ["test_archive.py"]),
+    ("archive eviction skips an equal z1", "archive.py",
+     "start = stop = bisect_left(entries, z1, 0, end, key=_z1)", "start = stop = end",
+     ["test_archive.py"]),
+    # the oracle's bound and prune table
+    ("oracle counts unseen + 1", "oracle.py",
+     "        extra = unseen[j]\n", "        extra = unseen[j] + 1\n", ["test_oracle.py"]),
+    ("oracle counts held attributes as unseen", "oracle.py",
+     "len(set(attributes[j:]) - set(attributes[:j]))", "len(set(attributes[j:]))",
+     ["test_oracle.py"]),
+    # raising a table entry only weakens the prune, so the fronts stay exact
+    # and only the offer count shows it
+    ("oracle lowers best for every k", "oracle.py",
+     "                    if mixing * denominator < numerator * used:\n",
+     "                    if True:\n", ["test_oracle_counts.py"]),
+    ("oracle never lowers best", "oracle.py",
+     "                        best[k] = (mixing, used)\n", "                        pass\n",
+     ["test_oracle.py"]),
+    # PartialSolution.assign
+    ("assign always pops the old key", "construct.py",
+     "        if load:\n", "        if True:\n", ["test_construct.py"]),
+    ("assign overwrites the attribute mask", "construct.py",
+     "self.attribute_masks[index] |= ", "self.attribute_masks[index] = ", ["test_construct.py"]),
+    ("assign opens a bin at load 1", "construct.py",
+     "self.loads.append(0)", "self.loads.append(1)", ["test_construct.py"]),
+]
+
+
+def copy_source(destination: Path) -> Path:
+    shutil.copytree(REPO / "src", destination / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return destination / "src"
+
+
+def in_copy(src: Path, command: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run a Python command from the repository root, importing the package from src."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, *command], cwd=REPO, env=env, **kwargs)
+
+
+def run_tests(src: Path, test_files: list[str]) -> int:
+    command = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+               *(f"tests/{name}" for name in test_files)]
+    return in_copy(src, command, stdout=subprocess.DEVNULL,
+                   stderr=subprocess.DEVNULL).returncode
+
+
+def check_baseline() -> None:
+    with tempfile.TemporaryDirectory() as scratch:
+        src = copy_source(Path(scratch))
+        imported = in_copy(src, ["-c", "import bibinpack; print(bibinpack.__file__)"],
+                           capture_output=True, text=True, check=True).stdout.strip()
+        if not Path(imported).resolve().is_relative_to(src.resolve()):
+            sys.exit(f"tests would import {imported}, not the copy in {src}")
+        files = sorted({name for *_, test_files in MUTANTS for name in test_files})
+        code = run_tests(src, files)
+        if code != 0:
+            sys.exit(f"unmutated source fails {' '.join(files)} (pytest exit {code})")
+
+
+def run_mutant(file: str, old: str, new: str, test_files: list[str]) -> str:
+    with tempfile.TemporaryDirectory() as scratch:
+        src = copy_source(Path(scratch))
+        target = src / "bibinpack" / file
+        text = target.read_text(encoding="utf-8")
+        count = text.count(old)
+        if count != 1:
+            return f"error: old text occurs {count} times"
+        target.write_text(text.replace(old, new), encoding="utf-8")
+        code = run_tests(src, test_files)
+    if code == 1:
+        return "killed"
+    if code == 0:
+        return "survived"
+    return f"error: pytest exit {code}"
+
+
+def main() -> int:
+    check_baseline()
+    width = max(len(name) for name, *_ in MUTANTS)
+    failures = 0
+    for name, file, old, new, test_files in MUTANTS:
+        started = time.perf_counter()
+        outcome = run_mutant(file, old, new, test_files)
+        elapsed = time.perf_counter() - started
+        failures += outcome != "killed"
+        print(f"{name:<{width}}  {outcome:<8}  {elapsed:5.1f}s  {' '.join(test_files)}",
+              flush=True)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

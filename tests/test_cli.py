@@ -126,6 +126,20 @@ def test_module_entry_point_passes_exit_codes(tmp_path):
     assert "invalid instance" in bad.stderr
 
 
+def test_parser_defaults_are_the_sweep_defaults(capsys):
+    defaults = SweepParams()
+    expected = (defaults.step, defaults.solutions_per_level, defaults.rng_seed)
+    args = cli.build_parser().parse_args(["--generate", "5"])
+    assert (args.step, args.reps, args.seed) == expected
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--help"])
+    assert excinfo.value.code == EXIT_OK
+    # argparse wraps the help to the terminal width
+    help_text = " ".join(capsys.readouterr().out.split())
+    for value in expected:
+        assert f"(default {value})" in help_text
+
+
 def test_missing_source_exits_one():
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -300,6 +300,10 @@ def test_sweep_params_validation():
     for bad in ("7", 7.0, False):
         with pytest.raises(ValueError, match="rng_seed must be an int"):
             SweepParams(rng_seed=bad)
+    # Fraction reads True as 1, and raises TypeError or ZeroDivisionError on the rest
+    for bad in (True, None, [1], "1/0"):
+        with pytest.raises(ValueError, match="^step must be a rational number, got "):
+            SweepParams(step=bad)
     with pytest.warns(UserWarning, match="skips") as record:
         SweepParams(step=Fraction(3, 2))
     assert [warning.filename for warning in record] == [__file__]

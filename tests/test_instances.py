@@ -186,13 +186,22 @@ def test_read_reports_nonpositive_header_and_weight(tmp_path, text, expected):
 
 @pytest.mark.parametrize(
     ("raw", "line_number"),
-    [(b"2 100\n10 \xff\n20 B\n", 2), (b"\xff", 1), (b"2 100\r10 A\r\n20 \xff\r", 3)],
+    [(b"2 100\n10 \xff\n20 B\n", 2), (b"\xff", 1), (b"2 100\r10 A\r\n20 \xff\r", 3),
+     (b"\xef\xbb\xbf2 100\n10 \xff\n20 B\n", 2)],
 )
 def test_read_reports_the_line_of_the_first_non_utf8_byte(tmp_path, raw, line_number):
     path = tmp_path / "latin1.txt"
     path.write_bytes(raw)
     with pytest.raises(InstanceFormatError, match=rf"^line {line_number}: not valid UTF-8$"):
         read_instance(path)
+
+
+def test_read_ignores_a_leading_byte_order_mark(tmp_path):
+    # as Windows Notepad saves UTF-8
+    text = b"2 100\n10 A\n20 B\n"
+    (tmp_path / "plain.txt").write_bytes(text)
+    (tmp_path / "bom.txt").write_bytes(b"\xef\xbb\xbf" + text)
+    assert read_instance(tmp_path / "bom.txt") == read_instance(tmp_path / "plain.txt")
 
 
 def test_read_reports_trailing_garbage(tmp_path):
