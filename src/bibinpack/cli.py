@@ -10,7 +10,6 @@ import tempfile
 import time
 import warnings
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
@@ -37,14 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        # argparse reports only ValueError/TypeError as usage errors, and "1/0" raises neither
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bibinpack",
@@ -65,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", default="all",
                         choices=[o.value for o in Ordering] + ["all"],
                         help="item processing order (default all)")
-    parser.add_argument("--step", type=_fraction, default=SweepParams.step, metavar="S",
+    parser.add_argument("--step", default=SweepParams.step, metavar="S",
                         help="heterogeneousness level increment (default %(default)s)")
     parser.add_argument("--reps", type=int, default=SweepParams.solutions_per_level,
                         metavar="M", help="solutions built per level (default %(default)s)")

@@ -149,8 +149,10 @@ def reference_exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, So
     labels as the witness. Results are sorted by ascending bin count.
     """
     n = instance.n
-    weights = [item.weight for item in instance.items]
-    attributes = [item.attribute for item in instance.items]
+    # the oracle's order: heaviest first, ties in id order
+    order = sorted(range(n), key=lambda item_id: -instance.items[item_id].weight)
+    weights = [instance.items[item_id].weight for item_id in order]
+    attributes = [instance.items[item_id].attribute for item_id in order]
     capacity = instance.capacity
     archive = ParetoArchive()
     labels: list[int] = []
@@ -180,7 +182,7 @@ def reference_exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, So
     results: list[tuple[ObjectiveVector, Solution]] = []
     for vector, witness in sorted(archive, key=lambda entry: entry[0].z1):
         blocks: list[list[int]] = [[] for _ in range(vector.z1)]
-        for item_id, label in enumerate(witness):
+        for item_id, label in zip(order, witness):
             blocks[label].append(item_id)
         bins = tuple(Bin(frozenset(block)) for block in blocks)
         results.append((vector, Solution(bins=bins, instance=instance)))

@@ -48,6 +48,10 @@ MUTANTS = [
     ("SweepParams step accepts a bool", "construct.py",
      "isinstance(self.step, (float, bool))", "isinstance(self.step, float)",
      ["test_construct.py"]),
+    # the CLI hands --step to SweepParams as text, so "1/0" must fail there
+    ("SweepParams lets a zero denominator through", "construct.py",
+     "except (TypeError, ValueError, ZeroDivisionError):", "except (TypeError, ValueError):",
+     ["test_cli.py"]),
     ("read_instance rejects a byte-order mark", "instances.py",
      '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
     # ParetoArchive.update
@@ -76,6 +80,9 @@ MUTANTS = [
     ("oracle never lowers best", "oracle.py",
      "                        best[k] = (mixing, used)\n", "                        pass\n",
      ["test_oracle.py"]),
+    # the order leaves the fronts exact and moves only the search counts
+    ("oracle enumerates lightest-first", "oracle.py",
+     ".weight, reverse=True)", ".weight)", ["test_oracle_counts.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",
      "        if load:\n", "        if True:\n", ["test_construct.py"]),

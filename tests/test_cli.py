@@ -152,25 +152,23 @@ def test_bad_heuristic_exits_one():
     assert excinfo.value.code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("step", ["fast", "1/0"], ids=["fast", "zero-denominator"])
-def test_bad_step_exits_one(tmp_path, step):
-    out = tmp_path / "x"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--generate", "20", "--out", str(out), "--step", step])
-    assert excinfo.value.code == EXIT_USAGE
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
-    "bad",
-    [["--reps", "0"], ["--step", "0"], ["--step", "-1"]],
-    ids=["reps-0", "step-0", "step-negative"],
+    ("bad", "rule"),
+    [
+        (["--reps", "0"], "solutions_per_level must be an int >= 1, got 0"),
+        (["--step", "0"], "step must be positive, got 0"),
+        (["--step", "-1"], "step must be positive, got -1"),
+        (["--step", "fast"], "step must be a rational number, got 'fast'"),
+        (["--step", "1/0"], "step must be a rational number, got '1/0'"),
+    ],
+    ids=["reps-0", "step-0", "step-negative", "step-fast", "step-zero-denominator"],
 )
-def test_invalid_reps_exits_one(tmp_path, bad):
+def test_invalid_reps_exits_one(tmp_path, capsys, bad, rule):
     out = tmp_path / "x"
     code = main(["--generate", "20", "--out", str(out), *bad])
     assert code == EXIT_USAGE
     assert not out.exists()
+    assert capsys.readouterr().err == f"bibinpack: error: {rule}\n"
 
 
 def test_too_many_levels_exits_one_before_the_sweep(tmp_path, monkeypatch, capsys):

@@ -212,6 +212,6 @@ def test_every_random_packing_is_weakly_dominated():
 
 def test_cap_is_enforced():
     rng = random.Random(1)
-    with pytest.raises(ValueError, match="16 items.*capped at 15"):
-        exact_pareto(random_instance(rng, n=16))
-    assert exact_pareto(random_instance(rng, n=15))
+    with pytest.raises(ValueError, match="21 items.*capped at 20"):
+        exact_pareto(random_instance(rng, n=21))
+    assert exact_pareto(random_instance(rng, n=20))
