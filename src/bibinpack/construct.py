@@ -8,15 +8,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .archive import ParetoArchive
 from .model import Bin, Instance, Item, ObjectiveVector, Solution, evaluate, require_int
-
-# A bin's position in the residual index packs (residual, bin index) into one
-# int so bisection compares plain integers. Caps instances at 2**20 bins.
-_INDEX_BITS = 20
-_INDEX_MASK = (1 << _INDEX_BITS) - 1
 
 
 class Heuristic(str, Enum):
@@ -63,16 +58,16 @@ class PartialSolution:
     """A packing being built one item at a time.
 
     Bins live in parallel arrays; `by_residual` keeps packed
-    (residual << bits) | index keys sorted ascending, i.e. fullest bins first
-    and lowest index first among equal loads. The bisection point for an item
-    weight is therefore the start of the capacity-feasible region, and the
-    first attribute-feasible key after it is exactly the best-fit choice.
+    (residual << bits) | index keys sorted ascending (fullest bins first, then
+    lowest index), with `bits` the bit length of n, as a packing has at most n
+    bins. The bisection point for an item weight starts the capacity-feasible
+    region, and the first attribute-feasible key after it is the best-fit choice.
     """
 
     def __init__(self, instance: Instance) -> None:
-        if instance.n > _INDEX_MASK:
-            raise ValueError(f"instances are limited to {_INDEX_MASK} items")
         self.instance = instance
+        self.bits = instance.n.bit_length()
+        self.index_mask = (1 << self.bits) - 1
         self.capacity = instance.capacity
         self.loads: list[int] = []
         self.members: list[list[int]] = []
@@ -103,13 +98,13 @@ class PartialSolution:
             )
         # only a bin that holds an item has a key: weights are >= 1, so load 0 means new
         if load:
-            old_key = (self.capacity - load) << _INDEX_BITS | index
+            old_key = (self.capacity - load) << self.bits | index
             self.by_residual.pop(bisect_left(self.by_residual, old_key))
         load += item.weight
         self.loads[index] = load
         self.members[index].append(item_id)
         self.attribute_masks[index] |= self.bit_of[item.attribute]
-        insort(self.by_residual, (self.capacity - load) << _INDEX_BITS | index)
+        insort(self.by_residual, (self.capacity - load) << self.bits | index)
         return index
 
     def to_solution(self) -> Solution:
@@ -147,11 +142,12 @@ def best_fit_bin(partial: PartialSolution, item: Item, max_heterogeneousness: in
     residual capacity go to the lowest bin index.
     """
     by_residual = partial.by_residual
-    start = bisect_left(by_residual, item.weight << _INDEX_BITS)
+    start = bisect_left(by_residual, item.weight << partial.bits)
+    index_mask = partial.index_mask
     masks = partial.attribute_masks
     bit = partial.bit_of[item.attribute]
     for position in range(start, len(by_residual)):
-        index = by_residual[position] & _INDEX_MASK
+        index = by_residual[position] & index_mask
         if (masks[index] | bit).bit_count() <= max_heterogeneousness:
             return index
     return None
@@ -169,13 +165,14 @@ def random_fit_bin(
     bin qualifies.
     """
     by_residual = partial.by_residual
-    start = bisect_left(by_residual, item.weight << _INDEX_BITS)
+    start = bisect_left(by_residual, item.weight << partial.bits)
+    index_mask = partial.index_mask
     masks = partial.attribute_masks
     bit = partial.bit_of[item.attribute]
     candidates = [
-        key & _INDEX_MASK
+        key & index_mask
         for key in by_residual[start:]
-        if (masks[key & _INDEX_MASK] | bit).bit_count() <= max_heterogeneousness
+        if (masks[key & index_mask] | bit).bit_count() <= max_heterogeneousness
     ]
     if not candidates:
         return None
@@ -207,18 +204,11 @@ def construct_solution(
     return partial.to_solution()
 
 
-def heterogeneousness_levels(attribute_count: int, step: Fraction) -> Iterator[Fraction]:
-    """The sweep levels 1, 1+step, ... up to the number of distinct attributes.
-
-    `step` is the exact rational `SweepParams` holds, so `level_count` has
-    no float drift. The levels are yielded lazily, so a tiny step costs
-    time, not memory.
-    """
-    return (1 + k * step for k in range(level_count(attribute_count, step)))
-
-
 def level_count(attribute_count: int, step: Fraction) -> int:
-    """How many levels `heterogeneousness_levels` yields: floor((A - 1) / step) + 1."""
+    """Size of the sweep's one level grid: level k is 1 + k*step, up to the attribute count.
+
+    `step` is the exact rational `SweepParams` holds, so the grid has no float drift.
+    """
     return int((attribute_count - 1) / step) + 1
 
 
@@ -238,8 +228,8 @@ def run_sweep(
     `observer`, when given, sees every evaluated packing (used by tests).
     """
     archive = ParetoArchive()
-    levels = heterogeneousness_levels(len(instance.attribute_universe), params.step)
-    for level_index, level in enumerate(levels):
+    for level_index in range(level_count(len(instance.attribute_universe), params.step)):
+        level = 1 + level_index * params.step
         for repetition in range(params.solutions_per_level):
             rng = _solution_rng(params.rng_seed, level_index, repetition)
             solution = construct_solution(instance, params, level, rng)

@@ -90,6 +90,12 @@ MUTANTS = [
      "self.attribute_masks[index] |= ", "self.attribute_masks[index] = ", ["test_construct.py"]),
     ("assign opens a bin at load 1", "construct.py",
      "self.loads.append(0)", "self.loads.append(1)", ["test_construct.py"]),
+    # the bin-key width and the level grid
+    ("key width one bit short", "construct.py",
+     "instance.n.bit_length()", "instance.n.bit_length() - 1", ["test_construct.py"]),
+    ("sweep starts one step late", "construct.py",
+     "1 + level_index * params.step", "1 + (level_index + 1) * params.step",
+     ["test_construct.py"]),
 ]
 
 

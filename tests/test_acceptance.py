@@ -23,7 +23,7 @@ from bibinpack.construct import (
     SweepParams,
     construct_solution,
     draw_max_heterogeneousness,
-    heterogeneousness_levels,
+    level_count,
     order_items,
     run_sweep,
 )
@@ -76,8 +76,8 @@ def observed_sweep(instance: Instance, params: SweepParams) -> SweepRun:
     started = time.perf_counter()
     archive = run_sweep(instance, params, observer=check)
     elapsed = time.perf_counter() - started
-    levels = list(heterogeneousness_levels(len(instance.attribute_universe), params.step))
-    expected = len(levels) * params.solutions_per_level
+    levels = level_count(len(instance.attribute_universe), params.step)
+    expected = levels * params.solutions_per_level
     return SweepRun(archive, elapsed, seen, expected, failures)
 
 
@@ -133,9 +133,7 @@ def oracle_agreement() -> OracleAgreement:
 
         params = SweepParams(rng_seed=SWEEP_SEED)
         archive = run_sweep(instance, params, observer=check)
-        expected += 100 * len(
-            list(heterogeneousness_levels(len(instance.attribute_universe), params.step))
-        )
+        expected += 100 * level_count(len(instance.attribute_universe), params.step)
         front = [vector for vector, _ in exact_pareto(instance)]
         for candidate in archive.vectors():
             if not any(

@@ -3,14 +3,12 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibinpack.construct import (
-    _INDEX_BITS,
     Heuristic,
     Ordering,
     PartialSolution,
@@ -18,7 +16,7 @@ from bibinpack.construct import (
     best_fit_bin,
     construct_solution,
     draw_max_heterogeneousness,
-    heterogeneousness_levels,
+    level_count,
     order_items,
     random_fit_bin,
     run_sweep,
@@ -140,6 +138,15 @@ def test_best_fit_counts_existing_attribute_as_free():
     assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=2) == 0
 
 
+def test_best_fit_reads_every_bit_of_the_bin_index():
+    # at n = 10 a key holds 4 index bits, and bin 8 is the first to need the fourth
+    inst = simple_instance([(6, "A")] * 8 + [(7, "A"), (3, "A")], capacity=10)
+    partial = PartialSolution(inst)
+    for item_id in range(9):
+        assert partial.assign(item_id, best_fit_bin(partial, inst.items[item_id], 1)) == item_id
+    assert best_fit_bin(partial, inst.items[9], max_heterogeneousness=1) == 8
+
+
 def test_random_fit_single_candidate_is_certain():
     inst = simple_instance([(5, "A"), (9, "A"), (4, "A")], capacity=10)
     partial = build_partial(inst, [(0, None), (1, None)])
@@ -185,7 +192,7 @@ def test_assign_keeps_packing_state_consistent(specs, data):
         opened = len(partial.loads)
         assert partial.assign(item_id, target) == (opened if target is None else target)
         assert partial.by_residual == sorted(
-            (inst.capacity - load) << _INDEX_BITS | i for i, load in enumerate(partial.loads)
+            (inst.capacity - load) << partial.bits | i for i, load in enumerate(partial.loads)
         )
         assert len(partial.members) == len(partial.loads) == len(partial.attribute_masks)
         for i, ids in enumerate(partial.members):
@@ -195,14 +202,6 @@ def test_assign_keeps_packing_state_consistent(specs, data):
                 mask |= bit[inst.items[k].attribute]
             assert partial.attribute_masks[i] == mask
     assert sorted(k for ids in partial.members for k in ids) == list(range(inst.n))
-
-
-def test_partial_solution_rejects_more_items_than_the_index_holds(monkeypatch):
-    # the real limit is 2**20 - 1 items; a 2-bit index shows the same guard
-    monkeypatch.setattr("bibinpack.construct._INDEX_MASK", 3)
-    inst = simple_instance([(1, "A")] * 4, capacity=10)
-    with pytest.raises(ValueError, match="limited to 3 items"):
-        PartialSolution(inst)
 
 
 # ------------------------------------------------------------- full builds
@@ -261,27 +260,56 @@ def test_construct_matches_plain_reference(specs, heuristic, ordering, level, se
 
 # ------------------------------------------------------------------ levels
 
-def test_level_grid_count_and_bounds():
-    levels = list(heterogeneousness_levels(5, Fraction(1, 10)))
-    assert len(levels) == 41
+class StopSweep(Exception):
+    pass
+
+
+def swept_levels(monkeypatch, attributes: str, step: Fraction, stop_after: int = 0) -> list:
+    """The level of each packing a one-repetition sweep builds, in order.
+
+    A pass-through of `construct_solution` records each level; with
+    `stop_after`, it raises `StopSweep` once that many are recorded.
+    """
+    levels = []
+
+    def recording(instance, params, level, rng):
+        levels.append(level)
+        if len(levels) == stop_after:
+            raise StopSweep
+        return construct_solution(instance, params, level, rng)
+
+    monkeypatch.setattr("bibinpack.construct.construct_solution", recording)
+    inst = simple_instance([(1, attribute) for attribute in attributes], capacity=10)
+    params = SweepParams(step=step, solutions_per_level=1)
+    if stop_after:
+        with pytest.raises(StopSweep):
+            run_sweep(inst, params)
+    else:
+        run_sweep(inst, params)
+    return levels
+
+
+def test_level_grid_count_and_bounds(monkeypatch):
+    levels = swept_levels(monkeypatch, "ABCDE", Fraction(1, 10))
+    assert len(levels) == level_count(5, Fraction(1, 10)) == 41
     assert levels[0] == 1
     assert levels[-1] == 5
     assert all(levels[i + 1] - levels[i] == Fraction(1, 10) for i in range(40))
 
 
-def test_level_grid_single_attribute():
-    assert list(heterogeneousness_levels(1, Fraction(1, 10))) == [Fraction(1)]
+def test_level_grid_single_attribute(monkeypatch):
+    assert swept_levels(monkeypatch, "A", Fraction(1, 10)) == [Fraction(1)]
 
 
-def test_level_grid_step_not_dividing_range():
-    levels = list(heterogeneousness_levels(2, Fraction(3, 10)))
+def test_level_grid_step_not_dividing_range(monkeypatch):
+    levels = swept_levels(monkeypatch, "AB", Fraction(3, 10))
     assert levels == [Fraction(1), Fraction(13, 10), Fraction(16, 10), Fraction(19, 10)]
 
 
-def test_level_grid_is_lazy():
+def test_level_grid_is_lazy(monkeypatch):
     tracemalloc.start()
     try:
-        first = list(islice(heterogeneousness_levels(5, Fraction(1, 100_000)), 3))
+        first = swept_levels(monkeypatch, "ABCDE", Fraction(1, 100_000), stop_after=3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
