@@ -1,6 +1,7 @@
-"""Reference implementations the tests check the package against.
+"""Reference implementations the tests check the package against, and the
+checks that several test modules share.
 
-Everything here is deliberately independent of the package's internals:
+Every reference here is deliberately independent of the package's internals:
 plain full-scan loops, brute-force filters and an integer program, no shared
 data structures. The one exception is `reference_exact_pareto`, which folds
 into the package's `ParetoArchive` so that its first-seen witnesses can be
@@ -14,7 +15,16 @@ import random
 from fractions import Fraction
 
 from bibinpack.archive import ParetoArchive
-from bibinpack.model import Bin, Instance, Item, ObjectiveVector, Solution, dominates
+from bibinpack.model import (
+    Bin,
+    Instance,
+    Item,
+    ObjectiveVector,
+    Solution,
+    dominates,
+    evaluate,
+    validate_solution,
+)
 
 
 def random_instance(
@@ -29,6 +39,13 @@ def random_instance(
         for _ in range(n)
     )
     return Instance(capacity=capacity, items=items)
+
+
+def check_front(front: list[tuple[ObjectiveVector, Solution]]) -> None:
+    """Assert each witness is a valid packing that evaluates to its vector."""
+    for vector, witness in front:
+        validate_solution(witness)
+        assert evaluate(witness) == vector
 
 
 def classic_best_fit(instance: Instance, item_order: list[int]) -> list[list[int]]:

@@ -76,13 +76,26 @@ MUTANTS = [
     # and only the offer count shows it
     ("oracle lowers best for every k", "oracle.py",
      "                    if mixing * denominator < numerator * used:\n",
-     "                    if True:\n", ["test_oracle_counts.py"]),
+     "                    if True:\n", ["test_oracle.py"]),
     ("oracle never lowers best", "oracle.py",
      "                        best[k] = (mixing, used)\n", "                        pass\n",
      ["test_oracle.py"]),
     # the order leaves the fronts exact and moves only the search counts
     ("oracle enumerates lightest-first", "oracle.py",
-     ".weight, reverse=True)", ".weight)", ["test_oracle_counts.py"]),
+     ".weight, reverse=True)", ".weight)", ["test_oracle.py"]),
+    # the capacity tests, one over the capacity
+    ("validate_solution allows one over capacity", "model.py",
+     "if load > instance.capacity:", "if load > instance.capacity + 1:", ["test_model.py"]),
+    ("assign allows one over capacity", "construct.py",
+     "if load + item.weight > self.capacity:", "if load + item.weight > self.capacity + 1:",
+     ["test_construct.py"]),
+    # random_fit_bin's bisection only: best_fit_bin's line reads the same
+    ("random fit skips an exact fit", "construct.py",
+     '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'
+     "    start = bisect_left(by_residual, item.weight << partial.bits)\n",
+     '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'
+     "    start = bisect_left(by_residual, (item.weight + 1) << partial.bits)\n",
+     ["test_construct.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",
      "        if load:\n", "        if True:\n", ["test_construct.py"]),
@@ -96,6 +109,15 @@ MUTANTS = [
     ("sweep starts one step late", "construct.py",
      "1 + level_index * params.step", "1 + (level_index + 1) * params.step",
      ["test_construct.py"]),
+    # each packing's stream must depend on both its level and its repetition;
+    # only the CLI's pinned digest shows a shared stream
+    ("rng ignores repetition", "construct.py",
+     "level_index * 0x100000001B3 + repetition", "level_index * 0x100000001B3",
+     ["test_cli.py"]),
+    ("rng ignores level", "construct.py",
+     "level_index * 0x100000001B3 + repetition", "repetition", ["test_cli.py"]),
+    ("cli allows one level over the cap", "cli.py",
+     "levels > MAX_LEVELS", "levels > MAX_LEVELS + 1", ["test_cli.py"]),
 ]
 
 

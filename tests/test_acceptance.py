@@ -104,9 +104,7 @@ class OracleAgreement:
     all_weakly_dominated: bool
     min_z2_hits: int
     elapsed: float
-    solutions_seen: int
-    expected_solutions: int
-    validator_failures: list[str]
+    runs: list[SweepRun]
 
 
 @pytest.fixture(scope="module")
@@ -114,26 +112,14 @@ def oracle_agreement() -> OracleAgreement:
     rng = random.Random(4242)
     hits = 0
     weakly_dominated = True
-    failures: list[str] = []
-    seen = 0
-    expected = 0
+    runs: list[SweepRun] = []
     started = time.perf_counter()
     for _ in range(50):
         n = rng.randint(4, 8)
         instance = random_instance(rng, n=n, capacity=100, weight_range=(10, 60),
                                    attribute_pool="ABC")
-
-        def check(vector: ObjectiveVector, solution: Solution) -> None:
-            nonlocal seen
-            seen += 1
-            try:
-                validate_solution(solution)
-            except ValueError as exc:
-                failures.append(str(exc))
-
-        params = SweepParams(rng_seed=SWEEP_SEED)
-        archive = run_sweep(instance, params, observer=check)
-        expected += 100 * level_count(len(instance.attribute_universe), params.step)
+        runs.append(observed_sweep(instance, SweepParams(rng_seed=SWEEP_SEED)))
+        archive = runs[-1].archive
         front = [vector for vector, _ in exact_pareto(instance)]
         for candidate in archive.vectors():
             if not any(
@@ -144,7 +130,7 @@ def oracle_agreement() -> OracleAgreement:
         if min(front, key=lambda v: v.z2) in archive.vectors():
             hits += 1
     elapsed = time.perf_counter() - started
-    return OracleAgreement(50, weakly_dominated, hits, elapsed, seen, expected, failures)
+    return OracleAgreement(50, weakly_dominated, hits, elapsed, runs)
 
 
 def test_criterion_1_lower_bound_proximity(swept, benchmark_instances):
@@ -239,13 +225,10 @@ def test_criterion_5_property_suite(swept, oracle_agreement):
 
     # the validator passed for every solution built during criteria 1-4
     built = 0
-    for run in swept.values():
+    for run in [*swept.values(), *oracle_agreement.runs]:
         assert run.validator_failures == []
         assert run.solutions_seen == run.expected_solutions
         built += run.solutions_seen
-    assert oracle_agreement.validator_failures == []
-    assert oracle_agreement.solutions_seen == oracle_agreement.expected_solutions
-    built += oracle_agreement.solutions_seen
 
     # randomized cap frequency at a fractional level
     draw_rng = random.Random(2024)

@@ -180,12 +180,15 @@ def test_too_many_levels_exits_one_before_the_sweep(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(cli, "run_experiment", stub)
     out = tmp_path / "x"
-    code = main(["--generate", "20", "--out", str(out), "--step", "1/1000000000"])
-    assert code == EXIT_USAGE
-    assert "4000000001 heterogeneousness levels" in capsys.readouterr().err
+    # five attributes: a step of 4 / MAX_LEVELS gives one level too many
+    for step, levels in [("1/1000000000", 4000000001),
+                         (Fraction(4, cli.MAX_LEVELS), cli.MAX_LEVELS + 1)]:
+        code = main(["--generate", "20", "--out", str(out), "--step", str(step)])
+        assert code == EXIT_USAGE
+        assert f"{levels} heterogeneousness levels" in capsys.readouterr().err
     assert started == []
     assert not out.exists()
-    # five attributes: a step of 4 / (MAX_LEVELS - 1) gives exactly MAX_LEVELS levels
+    # and a step of 4 / (MAX_LEVELS - 1) gives exactly MAX_LEVELS levels
     step = Fraction(4, cli.MAX_LEVELS - 1)
     assert main(["--generate", "20", "--out", str(out), "--step", str(step)]) == EXIT_OK
     assert started == [step]
@@ -200,11 +203,17 @@ def test_out_naming_a_file_exits_one(tmp_path, capsys):
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
-def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
+def previous_run(tmp_path) -> tuple[Path, dict[str, bytes]]:
+    """A finished run's output directory and the bytes of its three outputs,
+    which a failed rerun must leave as the only files there."""
     out = tmp_path / "rerun"
     assert main(["--generate", "20", "--seed", "4", "--out", str(out), *FAST]) == EXIT_OK
     names = ["instance.txt", "results.csv", "timings.csv"]
-    before = {name: (out / name).read_bytes() for name in names}
+    return out, {name: (out / name).read_bytes() for name in names}
+
+
+def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
+    out, before = previous_run(tmp_path)
     calls = []
 
     def failing_format_z2(value):
@@ -217,16 +226,12 @@ def test_failed_rerun_keeps_previous_results(tmp_path, monkeypatch):
     # a different seed, so a half-written rerun would show in every file
     with pytest.raises(RuntimeError, match="mid-report"):
         main(["--generate", "20", "--seed", "5", "--out", str(out), *FAST])
-    assert sorted(p.name for p in out.iterdir()) == names
-    assert {name: (out / name).read_bytes() for name in names} == before
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize("writer", ["_write_timings", "write_instance"])
 def test_failed_write_keeps_every_previous_output(tmp_path, monkeypatch, writer):
-    out = tmp_path / "rerun"
-    assert main(["--generate", "20", "--seed", "4", "--out", str(out), *FAST]) == EXIT_OK
-    names = ["instance.txt", "results.csv", "timings.csv"]
-    before = {name: (out / name).read_bytes() for name in names}
+    out, before = previous_run(tmp_path)
 
     def failing_writer(*_):
         raise OSError("disk full")
@@ -234,8 +239,7 @@ def test_failed_write_keeps_every_previous_output(tmp_path, monkeypatch, writer)
     monkeypatch.setattr(cli, writer, failing_writer)
     # a different seed, so any file the rerun replaced would show
     assert main(["--generate", "20", "--seed", "5", "--out", str(out), *FAST]) == EXIT_USAGE
-    assert sorted(p.name for p in out.iterdir()) == names
-    assert {name: (out / name).read_bytes() for name in names} == before
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_step_above_one_warns_once_at_the_caller(tmp_path):

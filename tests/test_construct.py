@@ -148,10 +148,12 @@ def test_best_fit_reads_every_bit_of_the_bin_index():
 
 
 def test_random_fit_single_candidate_is_certain():
-    inst = simple_instance([(5, "A"), (9, "A"), (4, "A")], capacity=10)
-    partial = build_partial(inst, [(0, None), (1, None)])
-    rng = random.Random(0)
-    assert all(random_fit_bin(partial, inst.items[2], 1, rng) == 0 for _ in range(50))
+    # bin 0's residual is 5, and then 4, exactly the third item's weight
+    for first in (5, 6):
+        inst = simple_instance([(first, "A"), (9, "A"), (4, "A")], capacity=10)
+        partial = build_partial(inst, [(0, None), (1, None)])
+        rng = random.Random(0)
+        assert all(random_fit_bin(partial, inst.items[2], 1, rng) == 0 for _ in range(50))
 
 
 def test_random_fit_no_candidate_opens_new_bin():
@@ -170,10 +172,14 @@ def test_random_fit_two_candidates_are_uniform():
 
 
 def test_assign_rejects_overfull_target():
-    inst = simple_instance([(9, "A"), (4, "A")], capacity=10)
+    # 9 + 4 and 9 + 2 overflow a capacity of 10, and 9 + 1 fills it exactly
+    inst = simple_instance([(9, "A"), (4, "A"), (2, "A"), (1, "A")], capacity=10)
     partial = build_partial(inst, [(0, None)])
-    with pytest.raises(ValueError, match="does not fit"):
-        partial.assign(1, 0)
+    for item_id in (1, 2):
+        with pytest.raises(ValueError, match="does not fit"):
+            partial.assign(item_id, 0)
+    assert partial.assign(3, 0) == 0
+    assert partial.loads == [10]
 
 
 @settings(deadline=None)

@@ -226,10 +226,11 @@ def test_validator_rejects_missing_item():
 
 
 def test_validator_rejects_overloaded_bin():
-    inst = Instance(capacity=10, items=(Item(7, "A"), Item(7, "A")))
-    solution = grouped_solution(inst, [[0, 1]])
-    with pytest.raises(ValueError, match="exceeds capacity"):
-        validate_solution(solution)
+    # 6 + 5 is one over the capacity of 10
+    for weights in ((7, 7), (6, 5)):
+        inst = Instance(capacity=10, items=tuple(Item(weight, "A") for weight in weights))
+        with pytest.raises(ValueError, match="exceeds capacity"):
+            validate_solution(grouped_solution(inst, [[0, 1]]))
 
 
 def test_validator_rejects_unknown_item_id():

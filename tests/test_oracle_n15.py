@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from bibinpack.construct import Heuristic, Ordering, SweepParams, run_sweep
 from bibinpack.instances import generate_instance
-from bibinpack.model import Instance, Item, evaluate, validate_solution
+from bibinpack.model import Instance, Item
 from bibinpack.oracle import exact_pareto
 
-from helpers import milp_front
+from helpers import check_front, milp_front
 
 
 @st.composite
@@ -34,9 +34,7 @@ def capped_instances(draw) -> Instance:
 def test_oracle_matches_integer_program(inst):
     front = exact_pareto(inst)
     assert {vector for vector, _ in front} == milp_front(inst)
-    for vector, witness in front:
-        validate_solution(witness)
-        assert evaluate(witness) == vector
+    check_front(front)
 
 
 @pytest.mark.parametrize(("seed", "expected"), [
@@ -47,9 +45,7 @@ def test_generated_fronts_at_twenty_items(seed, expected):
     # the integer program takes 20-30 s per instance here, so the fronts are fixed
     front = exact_pareto(generate_instance(20, seed))
     assert [(vector.z1, vector.z2) for vector, _ in front] == expected
-    for vector, witness in front:
-        validate_solution(witness)
-        assert evaluate(witness) == vector
+    check_front(front)
 
 
 def sweep_against_exact(n: int, seeds: list[int]) -> None:
