@@ -96,6 +96,11 @@ MUTANTS = [
      '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'
      "    start = bisect_left(by_residual, (item.weight + 1) << partial.bits)\n",
      ["test_construct.py"]),
+    # the randomized cap: an integral level draws nothing, a fractional one may round up
+    ("cap draw at an integral level consumes a draw", "construct.py",
+     "if remainder and rng.random() < ", "if rng.random() < ", ["test_construct.py"]),
+    ("cap draw never rounds up", "construct.py",
+     "return floor_level + 1", "return floor_level", ["test_construct.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",
      "        if load:\n", "        if True:\n", ["test_construct.py"]),

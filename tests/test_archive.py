@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -59,17 +58,6 @@ def test_update_is_idempotent_and_keeps_first_witness():
     assert not archive.update(vec(5, "1.5"), second)
     ((_, witness),) = list(archive)
     assert witness is first
-
-
-def test_archive_stays_antichain_under_random_updates():
-    rng = random.Random(99)
-    for _ in range(50):
-        archive = ParetoArchive()
-        for _ in range(200):
-            archive.update(vec(rng.randint(1, 30), Fraction(rng.randint(10, 50), 10)), _WITNESS)
-        vectors = archive.vectors()
-        assert len(set(vectors)) == len(vectors)
-        assert brute_force_front(vectors) == set(vectors)
 
 
 def test_sorted_entries_order():
