@@ -54,6 +54,15 @@ MUTANTS = [
      ["test_cli.py"]),
     ("read_instance rejects a byte-order mark", "instances.py",
      '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
+    # both objectives and their printed form
+    ("evaluate counts one bin too many", "model.py",
+     "used = len(solution.bins)", "used = len(solution.bins) + 1", ["test_model.py"]),
+    ("evaluate counts items, not attributes", "model.py",
+     "len({items[i].attribute for i in b.member_ids})", "len(b.member_ids)",
+     ["test_model.py"]),
+    ("vector prints without its parentheses", "model.py",
+     'return f"({self.z1}, {format_z2(self.z2)})"', 'return f"{self.z1}, {format_z2(self.z2)}"',
+     ["test_model.py"]),
     # ParetoArchive.update
     ("archive rejection bisects left", "archive.py",
      "end = bisect_right(entries,", "end = bisect_left(entries,", ["test_archive.py"]),
@@ -72,6 +81,11 @@ MUTANTS = [
     ("oracle counts held attributes as unseen", "oracle.py",
      "len(set(attributes[j:]) - set(attributes[:j]))", "len(set(attributes[j:]))",
      ["test_oracle.py"]),
+    # the oracle's capacity test and witness decoding
+    ("oracle allows a block one over capacity", "oracle.py",
+     "if load + weight <= capacity:", "if load + weight <= capacity + 1:", ["test_oracle.py"]),
+    ("oracle decodes every witness into one bin", "oracle.py",
+     "blocks[label].append(item_id)", "blocks[0].append(item_id)", ["test_oracle.py"]),
     # raising a table entry only weakens the prune, so the fronts stay exact
     # and only the offer count shows it
     ("oracle lowers best for every k", "oracle.py",

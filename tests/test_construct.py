@@ -56,14 +56,6 @@ def test_order_items_ties_break_by_id():
     assert order_items(inst, Ordering.INCREASING, random.Random(0)) == [1, 3, 0, 2]
 
 
-def test_order_items_random_is_seed_deterministic():
-    inst = random_instance(random.Random(5), n=30)
-    first = order_items(inst, Ordering.RANDOM, random.Random(123))
-    second = order_items(inst, Ordering.RANDOM, random.Random(123))
-    assert first == second
-    assert sorted(first) == list(range(30))
-
-
 # ---------------------------------------------------------- randomized cap
 
 def test_draw_cap_integral_levels_are_certain():

@@ -85,28 +85,10 @@ def test_lower_bound_rounds_up():
     assert inst.lower_bound == 2
 
 
-def test_evaluate_z1_counts_bins():
-    solution = grouped_solution(SIX_ITEMS, [[0, 1], [2], [3, 4, 5]])
-    assert evaluate(solution).z1 == 3
-    assert evaluate(grouped_solution(SIX_ITEMS, [[0, 1, 2, 3, 4, 5]])).z1 == 1
-
-
-def test_evaluate_z2_homogeneous_is_one():
-    solution = grouped_solution(SIX_ITEMS, [[0, 1, 4], [2, 3, 5]])
-    assert evaluate(solution).z2 == Fraction(1)
-
-
 def test_evaluate_z2_is_plain_mean():
     # bins with 2, 2, 1 distinct attributes
     solution = grouped_solution(SIX_ITEMS, [[0, 2], [1, 3], [5]])
     assert evaluate(solution).z2 == Fraction(5, 3)
-
-
-def test_evaluate_single_bin():
-    inst = Instance(capacity=10, items=(Item(4, "A"),))
-    vector = evaluate(Solution(bins=(Bin(frozenset({0})),), instance=inst))
-    assert vector == ObjectiveVector(1, Fraction(1))
-    assert str(vector) == "(1, 1.000)"
 
 
 def test_evaluate_homogeneous_twenty_two_bins():

@@ -17,28 +17,6 @@ from bibinpack.oracle import exact_pareto
 from helpers import brute_force_front, check_front, random_instance, reference_exact_pareto
 
 
-def test_items_that_cannot_share_a_bin():
-    inst = Instance(capacity=1000, items=(Item(600, "A"), Item(500, "A")))
-    assert [v for v, _ in exact_pareto(inst)] == [ObjectiveVector(2, Fraction(1))]
-
-
-def test_two_items_two_attributes():
-    inst = Instance(capacity=1000, items=(Item(400, "A"), Item(500, "B")))
-    assert [v for v, _ in exact_pareto(inst)] == [
-        ObjectiveVector(1, Fraction(2)),
-        ObjectiveVector(2, Fraction(1)),
-    ]
-
-
-def test_identical_attributes_collapse_to_one_vector():
-    rng = random.Random(8)
-    for _ in range(10):
-        inst = random_instance(rng, n=rng.randint(2, 7), attribute_pool="A")
-        front = exact_pareto(inst)
-        assert [vector.z2 for vector, _ in front] == [Fraction(1)]
-        check_front(front)
-
-
 def labeled_enumeration_front(inst: Instance) -> set[ObjectiveVector]:
     """Second implementation: enumerate labeled bin assignments, keep one
     canonical representative per partition, then filter to the efficient set."""
