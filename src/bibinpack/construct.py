@@ -85,26 +85,31 @@ class PartialSolution:
         attribute caps are the bin-selection functions' concern.
         """
         item = self.instance.items[item_id]
+        weight = item.weight
+        capacity = self.capacity
+        bits = self.bits
+        loads = self.loads
+        by_residual = self.by_residual
         if index is None:
-            index = len(self.loads)
-            self.loads.append(0)
-            self.members.append([])
-            self.attribute_masks.append(0)
-        load = self.loads[index]
-        if load + item.weight > self.capacity:
-            raise ValueError(
-                f"item {item_id} does not fit bin {index}: "
-                f"{load} + {item.weight} > {self.capacity}"
-            )
-        # only a bin that holds an item has a key: weights are >= 1, so load 0 means new
-        if load:
-            old_key = (self.capacity - load) << self.bits | index
-            self.by_residual.pop(bisect_left(self.by_residual, old_key))
-        load += item.weight
-        self.loads[index] = load
-        self.members[index].append(item_id)
-        self.attribute_masks[index] |= self.bit_of[item.attribute]
-        insort(self.by_residual, (self.capacity - load) << self.bits | index)
+            # every item fits an empty bin, and a new bin has no key to delete
+            index = len(loads)
+            load = weight
+            loads.append(load)
+            self.members.append([item_id])
+            self.attribute_masks.append(self.bit_of[item.attribute])
+        else:
+            load = loads[index]
+            if load + weight > capacity:
+                raise ValueError(
+                    f"item {item_id} does not fit bin {index}: "
+                    f"{load} + {weight} > {capacity}"
+                )
+            del by_residual[bisect_left(by_residual, (capacity - load) << bits | index)]
+            load += weight
+            loads[index] = load
+            self.members[index].append(item_id)
+            self.attribute_masks[index] |= self.bit_of[item.attribute]
+        insort(by_residual, (capacity - load) << bits | index)
         return index
 
     def to_solution(self) -> Solution:
@@ -112,24 +117,50 @@ class PartialSolution:
         return Solution(bins=bins, instance=self.instance)
 
 
+# The last fixed order built, as (instance, ordering, ids), and the last
+# level's rounding, as (level, floor, threshold). Each is keyed by identity,
+# read once and replaced whole, so a thread never sees a mixed entry; the
+# key object is held in the entry, so its identity cannot be reused.
+_fixed_order: tuple[Instance | None, Ordering | None, list[int]] = (None, None, [])
+_rounding: tuple[Fraction | None, int, float | None] = (None, 0, None)
+
+
 def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> list[int]:
-    """Item ids in processing order; the sort is stable, so weight ties keep ascending id."""
-    ids = list(range(instance.n))
+    """Item ids in processing order; the sort is stable, so weight ties keep ascending id.
+
+    A fixed order is sorted once per instance and ordering, and every call
+    returns a fresh list.
+    """
+    global _fixed_order
     if ordering is Ordering.RANDOM:
+        ids = list(range(instance.n))
         rng.shuffle(ids)
-    else:
-        ids.sort(key=lambda i: instance.items[i].weight, reverse=ordering is Ordering.DECREASING)
-    return ids
+        return ids
+    cached_instance, cached_ordering, ids = _fixed_order
+    if cached_instance is not instance or cached_ordering is not ordering:
+        items = instance.items
+        ids = sorted(range(instance.n), key=lambda i: items[i].weight,
+                     reverse=ordering is Ordering.DECREASING)
+        _fixed_order = (instance, ordering, ids)
+    return list(ids)
 
 
 def draw_max_heterogeneousness(level: Fraction, rng: random.Random) -> int:
     """Randomized rounding of the sweep level to a per-item attribute cap.
 
     Returns floor(level), bumped to ceil(level) with probability equal to the
-    fractional part; an integral level never consumes a random draw.
+    fractional part; an integral level never consumes a random draw. The
+    rounding is computed once per level object, as `run_sweep` passes one
+    object to every item of a level.
     """
-    floor_level, remainder = divmod(level.numerator, level.denominator)
-    if remainder and rng.random() < remainder / level.denominator:
+    global _rounding
+    cached_level, floor_level, threshold = _rounding
+    if cached_level is not level:
+        floor_level, remainder = divmod(level.numerator, level.denominator)
+        # None, not 0.0: a tiny fractional part whose float is 0.0 still draws
+        threshold = remainder / level.denominator if remainder else None
+        _rounding = (level, floor_level, threshold)
+    if threshold is not None and rng.random() < threshold:
         return floor_level + 1
     return floor_level
 
@@ -192,15 +223,17 @@ def construct_solution(
     the level is fractional.
     """
     partial = PartialSolution(instance)
+    assign = partial.assign
+    items = instance.items
     random_fit = params.heuristic is Heuristic.RANDOM_FIT
     for item_id in order_items(instance, params.ordering, rng):
-        item = instance.items[item_id]
+        item = items[item_id]
         cap = draw_max_heterogeneousness(level, rng)
         if random_fit:
             target = random_fit_bin(partial, item, cap, rng)
         else:
             target = best_fit_bin(partial, item, cap)
-        partial.assign(item_id, target)
+        assign(item_id, target)
     return partial.to_solution()
 
 

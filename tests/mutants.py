@@ -101,8 +101,7 @@ MUTANTS = [
     ("validate_solution allows one over capacity", "model.py",
      "if load > instance.capacity:", "if load > instance.capacity + 1:", ["test_model.py"]),
     ("assign allows one over capacity", "construct.py",
-     "if load + item.weight > self.capacity:", "if load + item.weight > self.capacity + 1:",
-     ["test_construct.py"]),
+     "if load + weight > capacity:", "if load + weight > capacity + 1:", ["test_construct.py"]),
     # random_fit_bin's bisection only: best_fit_bin's line reads the same
     ("random fit skips an exact fit", "construct.py",
      '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'
@@ -112,16 +111,30 @@ MUTANTS = [
      ["test_construct.py"]),
     # the randomized cap: an integral level draws nothing, a fractional one may round up
     ("cap draw at an integral level consumes a draw", "construct.py",
-     "if remainder and rng.random() < ", "if rng.random() < ", ["test_construct.py"]),
+     "if remainder else None", "if remainder else 0.0", ["test_construct.py"]),
     ("cap draw never rounds up", "construct.py",
      "return floor_level + 1", "return floor_level", ["test_construct.py"]),
+    # a level's rounding is cached by the level's identity
+    ("rounding cache is never refreshed", "construct.py",
+     "if cached_level is not level:", "if cached_level is None:", ["test_construct.py"]),
+    # a fixed order is cached by instance and ordering, and the caller owns each list
+    ("order cache ignores the ordering", "construct.py",
+     "if cached_instance is not instance or cached_ordering is not ordering:",
+     "if cached_instance is not instance:", ["test_construct.py"]),
+    ("order cache ignores the instance", "construct.py",
+     "if cached_instance is not instance or cached_ordering is not ordering:",
+     "if cached_ordering is not ordering:", ["test_construct.py"]),
+    ("order_items returns the cached list itself", "construct.py",
+     "    return list(ids)\n", "    return ids\n", ["test_construct.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",
-     "        if load:\n", "        if True:\n", ["test_construct.py"]),
+     "            loads.append(load)\n",
+     "            del by_residual[bisect_left(by_residual, (capacity - load) << bits | index)]\n"
+     "            loads.append(load)\n", ["test_construct.py"]),
     ("assign overwrites the attribute mask", "construct.py",
      "self.attribute_masks[index] |= ", "self.attribute_masks[index] = ", ["test_construct.py"]),
     ("assign opens a bin at load 1", "construct.py",
-     "self.loads.append(0)", "self.loads.append(1)", ["test_construct.py"]),
+     "            load = weight\n", "            load = weight + 1\n", ["test_construct.py"]),
     # the bin-key width and the level grid
     ("key width one bit short", "construct.py",
      "instance.n.bit_length()", "instance.n.bit_length() - 1", ["test_construct.py"]),

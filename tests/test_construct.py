@@ -64,6 +64,35 @@ def test_draw_cap_integral_levels_are_certain():
     assert all(draw_max_heterogeneousness(Fraction(2), rng) == 2 for _ in range(200))
 
 
+def test_cached_orders_and_rounding_match_plain_ones():
+    # heavy weight ties; the first half of the keys changes only the ordering
+    # between calls, the second half only the instance
+    instances = [random_instance(random.Random(seed), n=20, weight_range=(10, 14))
+                 for seed in (1, 2)]
+    keys = ([(inst, ordering) for inst in instances for ordering in Ordering]
+            + [(inst, ordering) for ordering in Ordering for inst in instances])
+    rng, reference_rng = random.Random(5), random.Random(5)
+    for inst, ordering in keys:
+        for _ in range(2):
+            expected = list(range(inst.n))
+            if ordering is Ordering.DECREASING:
+                expected.sort(key=lambda i: (-inst.items[i].weight, i))
+            elif ordering is Ordering.INCREASING:
+                expected.sort(key=lambda i: (inst.items[i].weight, i))
+            else:
+                reference_rng.shuffle(expected)
+            ids = order_items(inst, ordering, rng)
+            assert ids == expected
+            # the caller owns the list: changing it must not change the next call
+            ids.reverse()
+    levels = [Fraction(13, 10), Fraction(2), Fraction(27, 10), Fraction(13, 10)]
+    for k in range(400):
+        whole, part = divmod(levels[k % len(levels)], 1)
+        expected = whole + 1 if part and reference_rng.random() < float(part) else whole
+        assert draw_max_heterogeneousness(levels[k % len(levels)], rng) == expected
+    assert rng.getstate() == reference_rng.getstate()
+
+
 # ------------------------------------------------------------ bin selection
 
 def build_partial(instance: Instance, assignments: list[tuple[int, int | None]]) -> PartialSolution:
