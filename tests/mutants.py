@@ -63,6 +63,12 @@ MUTANTS = [
     ("vector prints without its parentheses", "model.py",
      'return f"({self.z1}, {format_z2(self.z2)})"', 'return f"{self.z1}, {format_z2(self.z2)}"',
      ["test_model.py"]),
+    ("attribute universe drops the first item", "model.py",
+     "universe = frozenset(item.attribute for item in self.items)",
+     "universe = frozenset(item.attribute for item in self.items[1:])", ["test_model.py"]),
+    # dominates: only ReferenceArchive calls it, offer by offer against ParetoArchive
+    ("dominates needs both objectives strictly better", "model.py",
+     "(a.z1 < b.z1 or a.z2 < b.z2)", "(a.z1 < b.z1 and a.z2 < b.z2)", ["test_archive.py"]),
     # ParetoArchive.update
     ("archive rejection bisects left", "archive.py",
      "end = bisect_right(entries,", "end = bisect_left(entries,", ["test_archive.py"]),
@@ -109,11 +115,17 @@ MUTANTS = [
      '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'
      "    start = bisect_left(by_residual, (item.weight + 1) << partial.bits)\n",
      ["test_construct.py"]),
+    # best_fit_bin's cap test only: random_fit_bin's line has no colon
+    ("best fit allows one attribute over the cap", "construct.py",
+     "<= max_heterogeneousness:", "<= max_heterogeneousness + 1:", ["test_construct.py"]),
     # the randomized cap: an integral level draws nothing, a fractional one may round up
     ("cap draw at an integral level consumes a draw", "construct.py",
      "if remainder else None", "if remainder else 0.0", ["test_construct.py"]),
     ("cap draw never rounds up", "construct.py",
      "return floor_level + 1", "return floor_level", ["test_construct.py"]),
+    ("cap draw at an integral level rounds up", "construct.py",
+     "if threshold is not None and rng.random() < threshold:",
+     "if threshold is None or rng.random() < threshold:", ["test_construct.py"]),
     # a level's rounding is cached by the level's identity
     ("rounding cache is never refreshed", "construct.py",
      "if cached_level is not level:", "if cached_level is None:", ["test_construct.py"]),
@@ -126,6 +138,13 @@ MUTANTS = [
      "if cached_ordering is not ordering:", ["test_construct.py"]),
     ("order_items returns the cached list itself", "construct.py",
      "    return list(ids)\n", "    return ids\n", ["test_construct.py"]),
+    # the fixed orders: by weight, ties by ascending id in both directions
+    ("decreasing order breaks ties by descending id", "construct.py",
+     "key=lambda i: items[i].weight,", "key=lambda i: (items[i].weight, i),",
+     ["test_construct.py"]),
+    ("fixed orders swapped", "construct.py",
+     "reverse=ordering is Ordering.DECREASING)", "reverse=ordering is Ordering.INCREASING)",
+     ["test_construct.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",
      "            loads.append(load)\n",
@@ -140,6 +159,9 @@ MUTANTS = [
      "instance.n.bit_length()", "instance.n.bit_length() - 1", ["test_construct.py"]),
     ("sweep starts one step late", "construct.py",
      "1 + level_index * params.step", "1 + (level_index + 1) * params.step",
+     ["test_construct.py"]),
+    ("sweep builds one repetition short", "construct.py",
+     "range(params.solutions_per_level)", "range(params.solutions_per_level - 1)",
      ["test_construct.py"]),
     # each packing's stream must depend on both its level and its repetition;
     # only the CLI's pinned digest shows a shared stream

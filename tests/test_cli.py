@@ -273,9 +273,3 @@ def test_overweight_instance_file_exits_two(tmp_path, capsys):
     code = main(["--instance", str(path), "--out", str(tmp_path / "o")])
     assert code == EXIT_BAD_INSTANCE
     assert "exceeds capacity" in capsys.readouterr().err
-
-
-def test_generate_size_not_multiple_of_five_exits_two(tmp_path, capsys):
-    code = main(["--generate", "7", "--out", str(tmp_path / "o")])
-    assert code == EXIT_BAD_INSTANCE
-    assert "multiple of 5" in capsys.readouterr().err

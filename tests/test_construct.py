@@ -25,7 +25,6 @@ from bibinpack.model import (
     Instance,
     Item,
     evaluate,
-    validate_solution,
 )
 from bibinpack.oracle import exact_pareto
 
@@ -37,32 +36,7 @@ def simple_instance(weights_attrs: list[tuple[int, str]], capacity: int) -> Inst
     return Instance(capacity=capacity, items=items)
 
 
-# ---------------------------------------------------------------- orderings
-
-THREE = simple_instance([(3, "A"), (9, "A"), (5, "A")], capacity=20)
-
-
-def test_order_items_decreasing():
-    assert order_items(THREE, Ordering.DECREASING, random.Random(0)) == [1, 2, 0]
-
-
-def test_order_items_increasing():
-    assert order_items(THREE, Ordering.INCREASING, random.Random(0)) == [0, 2, 1]
-
-
-def test_order_items_ties_break_by_id():
-    inst = simple_instance([(5, "A"), (3, "A"), (5, "A"), (3, "A")], capacity=20)
-    assert order_items(inst, Ordering.DECREASING, random.Random(0)) == [0, 2, 1, 3]
-    assert order_items(inst, Ordering.INCREASING, random.Random(0)) == [1, 3, 0, 2]
-
-
-# ---------------------------------------------------------- randomized cap
-
-def test_draw_cap_integral_levels_are_certain():
-    rng = random.Random(0)
-    assert all(draw_max_heterogeneousness(Fraction(1), rng) == 1 for _ in range(200))
-    assert all(draw_max_heterogeneousness(Fraction(2), rng) == 2 for _ in range(200))
-
+# ----------------------------------------------- orders and randomized cap
 
 def test_cached_orders_and_rounding_match_plain_ones():
     # heavy weight ties; the first half of the keys changes only the ordering
@@ -225,17 +199,6 @@ def test_assign_keeps_packing_state_consistent(specs, data):
 
 # ------------------------------------------------------------- full builds
 
-def test_construct_at_level_one_is_fully_homogeneous():
-    rng_src = random.Random(11)
-    for _ in range(10):
-        inst = random_instance(rng_src, n=30, attribute_pool="ABCD")
-        params = SweepParams(heuristic=Heuristic.BEST_FIT, ordering=Ordering.DECREASING)
-        solution = construct_solution(inst, params, Fraction(1), random.Random(5))
-        validate_solution(solution)
-        # every bin holds at least one attribute, so a mean of 1 means each holds one
-        assert evaluate(solution).z2 == Fraction(1)
-
-
 @settings(deadline=None)
 @given(
     specs=st.lists(st.tuples(st.integers(10, 60), st.sampled_from("ABC")), min_size=1, max_size=12),
@@ -350,15 +313,3 @@ def test_sweep_params_accepts_value_strings():
         SweepParams(ordering="sideways")
     with pytest.raises(ValueError, match="worst-fit"):
         SweepParams(heuristic="worst-fit")
-
-
-# ------------------------------------------------------------------- sweep
-
-def test_sweep_single_attribute_runs_one_level():
-    inst = simple_instance([(4, "A"), (5, "A"), (6, "A"), (2, "A")], capacity=10)
-    seen = []
-    archive = run_sweep(inst, SweepParams(solutions_per_level=10),
-                        observer=lambda v, s: seen.append(v))
-    assert len(seen) == 10
-    assert all(v.z2 == 1 for v in seen)
-    assert len(archive) == 1

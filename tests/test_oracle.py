@@ -159,31 +159,6 @@ def test_prune_fires_at_once_on_one_attribute(monkeypatch):
     assert (nodes, offers, reference_offers) == (16, 1, 4140)
 
 
-def test_every_random_packing_is_weakly_dominated():
-    rng = random.Random(55)
-    inst = random_instance(rng, n=6, capacity=120)
-    front = {v for v, _ in exact_pareto(inst)}
-    for _ in range(300):
-        # random feasible packing: first fit over a shuffled id list
-        order = list(range(inst.n))
-        rng.shuffle(order)
-        loads: list[int] = []
-        mixes: list[set[str]] = []
-        for item_id in order:
-            item = inst.items[item_id]
-            spots = [g for g in range(len(loads)) if loads[g] + item.weight <= inst.capacity]
-            if spots and rng.random() < 0.8:
-                g = rng.choice(spots)
-                loads[g] += item.weight
-                mixes[g].add(item.attribute)
-            else:
-                loads.append(item.weight)
-                mixes.append({item.attribute})
-        used = len(loads)
-        vector = ObjectiveVector(used, Fraction(sum(len(m) for m in mixes), used))
-        assert any(v.z1 <= vector.z1 and v.z2 <= vector.z2 for v in front)
-
-
 def test_cap_is_enforced():
     rng = random.Random(1)
     with pytest.raises(ValueError, match="21 items.*capped at 20"):
