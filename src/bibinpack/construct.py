@@ -73,10 +73,7 @@ class PartialSolution:
         self.members: list[list[int]] = []
         self.attribute_masks: list[int] = []
         self.by_residual: list[int] = []
-        self.bit_of = {
-            attribute: 1 << position
-            for position, attribute in enumerate(sorted(instance.attribute_universe))
-        }
+        self.bit_of = instance.attribute_bit
 
     def assign(self, item_id: int, index: int | None) -> int:
         """Put item `item_id` into bin `index`, or open a new bin when None.
@@ -117,32 +114,26 @@ class PartialSolution:
         return Solution(bins=bins, instance=self.instance)
 
 
-# The last fixed order built, as (instance, ordering, ids), and the last
-# level's rounding, as (level, floor, threshold). Each is keyed by identity,
-# read once and replaced whole, so a thread never sees a mixed entry; the
-# key object is held in the entry, so its identity cannot be reused.
-_fixed_order: tuple[Instance | None, Ordering | None, list[int]] = (None, None, [])
+# The last level's rounding, as (level, floor, threshold). A `Fraction` can
+# hold no state of its own, so the rounding is kept here, keyed by the
+# level's identity, read once and replaced whole, so a thread never sees a
+# mixed entry; the level is held in the entry, so its identity cannot be
+# reused. The fixed item orders and attribute bits live on the `Instance`.
 _rounding: tuple[Fraction | None, int, float | None] = (None, 0, None)
 
 
 def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> list[int]:
-    """Item ids in processing order; the sort is stable, so weight ties keep ascending id.
+    """Item ids in processing order; weight ties keep ascending id.
 
-    A fixed order is sorted once per instance and ordering, and every call
-    returns a fresh list.
+    A fixed order is sorted once per instance, by the instance, and every
+    call returns a fresh list.
     """
-    global _fixed_order
     if ordering is Ordering.RANDOM:
         ids = list(range(instance.n))
         rng.shuffle(ids)
         return ids
-    cached_instance, cached_ordering, ids = _fixed_order
-    if cached_instance is not instance or cached_ordering is not ordering:
-        items = instance.items
-        ids = sorted(range(instance.n), key=lambda i: items[i].weight,
-                     reverse=ordering is Ordering.DECREASING)
-        _fixed_order = (instance, ordering, ids)
-    return list(ids)
+    return list(instance.heaviest_first if ordering is Ordering.DECREASING
+                else instance.lightest_first)
 
 
 def draw_max_heterogeneousness(level: Fraction, rng: random.Random) -> int:

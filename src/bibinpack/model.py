@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 def require_int(name: str, value: object, minimum: int | None = None) -> None:
@@ -35,6 +36,11 @@ class Instance:
     Construction validates everything downstream code relies on, so an
     Instance that exists has int weights and capacity and str attributes,
     and is feasible: every item fits an empty bin.
+
+    The item orders and attribute bits every packing shares
+    (`heaviest_first`, `lightest_first`, `attribute_bit`) are computed on
+    first use and kept; they are not fields, so `==`, `hash` and `repr`
+    ignore them.
     """
 
     capacity: int
@@ -70,6 +76,27 @@ class Instance:
     def lower_bound(self) -> int:
         """Fewest bins any packing can use: ceil(total weight / capacity)."""
         return -(-self.total_weight // self.capacity)
+
+    @cached_property
+    def heaviest_first(self) -> tuple[int, ...]:
+        """Item ids by descending weight, ties in ascending id."""
+        return self._ids_by_weight(reverse=True)
+
+    @cached_property
+    def lightest_first(self) -> tuple[int, ...]:
+        """Item ids by ascending weight, ties in ascending id."""
+        return self._ids_by_weight(reverse=False)
+
+    @cached_property
+    def attribute_bit(self) -> dict[str, int]:
+        """Each attribute's mask bit, `1 << position` in sorted attribute order; read only."""
+        return {attribute: 1 << position
+                for position, attribute in enumerate(sorted(self.attribute_universe))}
+
+    def _ids_by_weight(self, reverse: bool) -> tuple[int, ...]:
+        # sorted is stable, so weight ties keep ascending id in both directions
+        items = self.items
+        return tuple(sorted(range(len(items)), key=lambda i: items[i].weight, reverse=reverse))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,14 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     """Every efficient objective vector, each with one witness packing.
 
     Enumerates set partitions of the items, heaviest first (ties in id
-    order), in restricted-growth order (each item joins an existing block or
-    opens the next one, so bin symmetry never produces duplicates), skipping
-    any block that would exceed capacity, and folds each complete partition
-    into a `ParetoArchive`. Each open block keeps its attributes as one
-    bitmask, so the summed heterogeneousness `S` grows by one exactly when
-    an item's bit is new to its block. Results come in ascending bin count,
-    the order the archive keeps its entries in.
+    order, the instance's `heaviest_first`), in restricted-growth order
+    (each item joins an existing block or opens the next one, so bin
+    symmetry never produces duplicates), skipping any block that would
+    exceed capacity, and folds each complete partition into a
+    `ParetoArchive`. Each open block keeps its attributes as one bitmask of
+    the instance's `attribute_bit`s, so the summed heterogeneousness `S`
+    grows by one exactly when an item's bit is new to its block. Results
+    come in ascending bin count, the order the archive keeps its entries in.
 
     A partial partition is dropped once the archive weakly dominates every
     vector a completion of it could reach. With `used` bins open and `j`
@@ -59,12 +60,11 @@ def exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:
     n = instance.n
     if n > MAX_ITEMS:
         raise ValueError(f"instance has {n} items; exact enumeration is capped at {MAX_ITEMS}")
-    # heaviest first, ties in id order; order[p] is the item placed p-th
-    order = sorted(range(n), key=lambda item_id: instance.items[item_id].weight, reverse=True)
+    # order[p] is the item placed p-th
+    order = instance.heaviest_first
     weights = [instance.items[item_id].weight for item_id in order]
     attributes = [instance.items[item_id].attribute for item_id in order]
-    # each attribute's bit is numbered by its first item
-    bits = [1 << attributes.index(attribute) for attribute in attributes]
+    bits = [instance.attribute_bit[attribute] for attribute in attributes]
     capacity = instance.capacity
     fewest_bins = instance.lower_bound
     # the attributes of items j onwards that none of the first j items has

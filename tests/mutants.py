@@ -102,7 +102,7 @@ MUTANTS = [
      ["test_oracle.py"]),
     # the order leaves the fronts exact and moves only the search counts
     ("oracle enumerates lightest-first", "oracle.py",
-     ".weight, reverse=True)", ".weight)", ["test_oracle.py"]),
+     "instance.heaviest_first", "instance.lightest_first", ["test_oracle.py"]),
     # the capacity tests, one over the capacity
     ("validate_solution allows one over capacity", "model.py",
      "if load > instance.capacity:", "if load > instance.capacity + 1:", ["test_model.py"]),
@@ -129,21 +129,21 @@ MUTANTS = [
     # a level's rounding is cached by the level's identity
     ("rounding cache is never refreshed", "construct.py",
      "if cached_level is not level:", "if cached_level is None:", ["test_construct.py"]),
-    # a fixed order is cached by instance and ordering, and the caller owns each list
-    ("order cache ignores the ordering", "construct.py",
-     "if cached_instance is not instance or cached_ordering is not ordering:",
-     "if cached_instance is not instance:", ["test_construct.py"]),
-    ("order cache ignores the instance", "construct.py",
-     "if cached_instance is not instance or cached_ordering is not ordering:",
-     "if cached_ordering is not ordering:", ["test_construct.py"]),
-    ("order_items returns the cached list itself", "construct.py",
-     "    return list(ids)\n", "    return ids\n", ["test_construct.py"]),
+    # the instance keeps what every packing shares, and the caller owns each list
+    ("order_items returns the shared tuple itself", "construct.py",
+     "return list(instance.heaviest_first if", "return (instance.heaviest_first if",
+     ["test_construct.py"]),
+    ("shared order recomputed on every read", "model.py",
+     "    @cached_property\n    def heaviest_first(", "    @property\n    def heaviest_first(",
+     ["test_model.py"]),
+    ("attribute bits collide", "model.py",
+     "attribute: 1 << position", "attribute: 1 << (position // 2)", ["test_construct.py"]),
     # the fixed orders: by weight, ties by ascending id in both directions
-    ("decreasing order breaks ties by descending id", "construct.py",
+    ("decreasing order breaks ties by descending id", "model.py",
      "key=lambda i: items[i].weight,", "key=lambda i: (items[i].weight, i),",
      ["test_construct.py"]),
     ("fixed orders swapped", "construct.py",
-     "reverse=ordering is Ordering.DECREASING)", "reverse=ordering is Ordering.INCREASING)",
+     "if ordering is Ordering.DECREASING\n", "if ordering is Ordering.INCREASING\n",
      ["test_construct.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",

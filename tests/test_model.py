@@ -78,6 +78,16 @@ def test_lower_bound_rounds_up():
     assert inst.lower_bound == 2
 
 
+def test_shared_orders_and_bits_are_kept_outside_the_fields():
+    read, unread = (Instance(capacity=1000, items=SIX_ITEMS.items) for _ in range(2))
+    for name in ("heaviest_first", "lightest_first", "attribute_bit"):
+        # computed once per instance: every packing of a sweep reads the same object
+        assert getattr(read, name) is getattr(read, name)
+    assert read == unread
+    assert hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
+
+
 def test_evaluate_z2_is_plain_mean():
     # bins with 2, 2, 1 distinct attributes
     solution = grouped_solution(SIX_ITEMS, [[0, 2], [1, 3], [5]])
