@@ -114,14 +114,6 @@ class PartialSolution:
         return Solution(bins=bins, instance=self.instance)
 
 
-# The last level's rounding, as (level, floor, threshold). A `Fraction` can
-# hold no state of its own, so the rounding is kept here, keyed by the
-# level's identity, read once and replaced whole, so a thread never sees a
-# mixed entry; the level is held in the entry, so its identity cannot be
-# reused. The fixed item orders and attribute bits live on the `Instance`.
-_rounding: tuple[Fraction | None, int, float | None] = (None, 0, None)
-
-
 def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> list[int]:
     """Item ids in processing order; weight ties keep ascending id.
 
@@ -136,21 +128,22 @@ def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> l
                 else instance.lightest_first)
 
 
-def draw_max_heterogeneousness(level: Fraction, rng: random.Random) -> int:
+def round_level(level: Fraction) -> tuple[int, float | None]:
+    """A level's floor and its chance of rounding up, the fractional part;
+    the chance is None for an integral level, which never draws."""
+    floor_level, remainder = divmod(level.numerator, level.denominator)
+    # None, not 0.0: a tiny fractional part whose float is 0.0 still draws
+    return floor_level, remainder / level.denominator if remainder else None
+
+
+def draw_max_heterogeneousness(rounding: tuple[int, float | None], rng: random.Random) -> int:
     """Randomized rounding of the sweep level to a per-item attribute cap.
 
-    Returns floor(level), bumped to ceil(level) with probability equal to the
-    fractional part; an integral level never consumes a random draw. The
-    rounding is computed once per level object, as `run_sweep` passes one
-    object to every item of a level.
+    Given `round_level(level)`, returns floor(level), bumped to ceil(level)
+    with probability equal to the fractional part; an integral level never
+    consumes a random draw.
     """
-    global _rounding
-    cached_level, floor_level, threshold = _rounding
-    if cached_level is not level:
-        floor_level, remainder = divmod(level.numerator, level.denominator)
-        # None, not 0.0: a tiny fractional part whose float is 0.0 still draws
-        threshold = remainder / level.denominator if remainder else None
-        _rounding = (level, floor_level, threshold)
+    floor_level, threshold = rounding
     if threshold is not None and rng.random() < threshold:
         return floor_level + 1
     return floor_level
@@ -209,17 +202,18 @@ def construct_solution(
 ) -> Solution:
     """Build one complete packing at the given heterogeneousness level.
 
-    Items are processed in the configured order; each item draws its own
-    attribute cap before its bin is chosen, so one solution can mix caps when
-    the level is fractional.
+    Items are processed in the configured order; the level is rounded once,
+    and each item draws its own attribute cap from that rounding before its
+    bin is chosen, so one solution can mix caps when the level is fractional.
     """
     partial = PartialSolution(instance)
     assign = partial.assign
     items = instance.items
     random_fit = params.heuristic is Heuristic.RANDOM_FIT
+    rounding = round_level(level)
     for item_id in order_items(instance, params.ordering, rng):
         item = items[item_id]
-        cap = draw_max_heterogeneousness(level, rng)
+        cap = draw_max_heterogeneousness(rounding, rng)
         if random_fit:
             target = random_fit_bin(partial, item, cap, rng)
         else:

@@ -27,6 +27,8 @@ class Item:
 
     def __post_init__(self) -> None:
         require_int("weight", self.weight, 1)
+        if not isinstance(self.attribute, str):
+            raise ValueError(f"attribute must be a str, got {self.attribute!r}")
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,6 @@ class Instance:
                     f"{self.capacity}, no feasible packing exists"
                 )
         universe = frozenset(item.attribute for item in self.items)
-        for attribute in universe:
-            if not isinstance(attribute, str):
-                raise ValueError(f"attribute must be a str, got {attribute!r}")
         object.__setattr__(self, "attribute_universe", universe)
 
     @property

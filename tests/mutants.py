@@ -34,6 +34,9 @@ MUTANTS = [
      "value < minimum", "value <= minimum", ["test_construct.py"]),
     ("Item.weight unchecked", "model.py",
      '        require_int("weight", self.weight, 1)\n', "        pass\n", ["test_model.py"]),
+    ("Item.attribute unchecked", "model.py",
+     "        if not isinstance(self.attribute, str):\n", "        if False:\n",
+     ["test_model.py"]),
     ("Instance.capacity unchecked", "model.py",
      '        require_int("capacity", self.capacity, 1)\n', "", ["test_model.py"]),
     ("SweepParams.solutions_per_level unchecked", "construct.py",
@@ -126,9 +129,8 @@ MUTANTS = [
     ("cap draw at an integral level rounds up", "construct.py",
      "if threshold is not None and rng.random() < threshold:",
      "if threshold is None or rng.random() < threshold:", ["test_construct.py"]),
-    # a level's rounding is cached by the level's identity
-    ("rounding cache is never refreshed", "construct.py",
-     "if cached_level is not level:", "if cached_level is None:", ["test_construct.py"]),
+    ("cap draw's chance divides by the numerator", "construct.py",
+     "remainder / level.denominator", "remainder / level.numerator", ["test_construct.py"]),
     # the instance keeps what every packing shares, and the caller owns each list
     ("order_items returns the shared tuple itself", "construct.py",
      "return list(instance.heaviest_first if", "return (instance.heaviest_first if",

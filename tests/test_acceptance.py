@@ -25,6 +25,7 @@ from bibinpack.construct import (
     draw_max_heterogeneousness,
     level_count,
     order_items,
+    round_level,
     run_sweep,
 )
 from bibinpack.instances import generate_instance
@@ -226,10 +227,10 @@ def test_criterion_5_property_suite(swept, oracle_agreement):
 
     # randomized cap frequency at a fractional level
     draw_rng = random.Random(2024)
-    level = Fraction("1.3")
+    rounding = round_level(Fraction("1.3"))
     draws = 100_000
     ceil_share = sum(
-        draw_max_heterogeneousness(level, draw_rng) == 2 for _ in range(draws)
+        draw_max_heterogeneousness(rounding, draw_rng) == 2 for _ in range(draws)
     ) / draws
     assert 0.28 <= ceil_share <= 0.32
 

@@ -163,7 +163,7 @@ def test_bad_heuristic_exits_one():
     ],
     ids=["reps-0", "step-0", "step-negative", "step-fast", "step-zero-denominator"],
 )
-def test_invalid_reps_exits_one(tmp_path, capsys, bad, rule):
+def test_invalid_sweep_parameters_exit_one_before_writing(tmp_path, capsys, bad, rule):
     out = tmp_path / "x"
     code = main(["--generate", "20", "--out", str(out), *bad])
     assert code == EXIT_USAGE

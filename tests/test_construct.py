@@ -19,6 +19,7 @@ from bibinpack.construct import (
     level_count,
     order_items,
     random_fit_bin,
+    round_level,
     run_sweep,
 )
 from bibinpack.model import (
@@ -38,7 +39,7 @@ def simple_instance(weights_attrs: list[tuple[int, str]], capacity: int) -> Inst
 
 # ----------------------------------------------- orders and randomized cap
 
-def test_cached_orders_and_rounding_match_plain_ones():
+def test_orders_and_rounding_match_plain_ones():
     # heavy weight ties; the first half of the keys changes only the ordering
     # between calls, the second half only the instance
     instances = [random_instance(random.Random(seed), n=20, weight_range=(10, 14))
@@ -61,9 +62,10 @@ def test_cached_orders_and_rounding_match_plain_ones():
             ids.reverse()
     levels = [Fraction(13, 10), Fraction(2), Fraction(27, 10), Fraction(13, 10)]
     for k in range(400):
-        whole, part = divmod(levels[k % len(levels)], 1)
+        level = levels[k % len(levels)]
+        whole, part = divmod(level, 1)
         expected = whole + 1 if part and reference_rng.random() < float(part) else whole
-        assert draw_max_heterogeneousness(levels[k % len(levels)], rng) == expected
+        assert draw_max_heterogeneousness(round_level(level), rng) == expected
     assert rng.getstate() == reference_rng.getstate()
 
 

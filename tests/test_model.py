@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -69,8 +70,11 @@ def test_instance_rejects_bad_capacity(capacity):
 
 
 def test_instance_rejects_non_string_attribute():
-    with pytest.raises(ValueError, match="attribute must be a str, got 7"):
-        Instance(capacity=100, items=(Item(10, "A"), Item(20, 7)))
+    # a list is unhashable: it must fail as a ValueError, not as a TypeError
+    for attribute in (7, None, ["A"]):
+        message = re.escape(f"attribute must be a str, got {attribute!r}")
+        with pytest.raises(ValueError, match=message):
+            Instance(capacity=100, items=(Item(10, "A"), Item(20, attribute)))
 
 
 def test_lower_bound_rounds_up():
