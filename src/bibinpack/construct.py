@@ -42,7 +42,7 @@ class SweepParams:
         try:
             # a float keeps the decimal the caller wrote, and a bool fails as the text "True"
             step = Fraction(str(self.step) if isinstance(self.step, (float, bool)) else self.step)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"step must be a rational number, got {self.step!r}") from None
         object.__setattr__(self, "step", step)
         if step <= 0:

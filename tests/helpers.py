@@ -15,6 +15,7 @@ import random
 from fractions import Fraction
 
 from bibinpack.archive import ParetoArchive
+from bibinpack.construct import SweepParams
 from bibinpack.model import (
     Bin,
     Instance,
@@ -155,6 +156,25 @@ class ReferenceArchive:
 
     def sorted_entries(self) -> list:
         return sorted(self.entries, key=lambda entry: (-entry[0].z1, entry[0].z2))
+
+
+def reference_sweep(instance: Instance, params: SweepParams) -> ReferenceArchive:
+    """The sweep `params` describes, as a plain fold into a `ReferenceArchive`:
+    levels 1, 1 + step, ... up to the attribute count, by exact addition; each
+    packing built by `reference_construct` from its own stream, seeded by
+    (seed, level index, repetition), and offered with its objectives recounted."""
+    archive = ReferenceArchive()
+    level, level_index = Fraction(1), 0
+    while level <= len({item.attribute for item in instance.items}):
+        for repetition in range(params.solutions_per_level):
+            mixed = params.rng_seed * 0x9E3779B97F4A7C15 + level_index * 0x100000001B3 + repetition
+            rng = random.Random(mixed & 0xFFFFFFFFFFFFFFFF)
+            bins = reference_construct(instance, params.heuristic, params.ordering, level, rng)
+            solution = Solution(tuple(Bin(frozenset(ids)) for ids in bins), instance)
+            archive.update(ObjectiveVector(*recount_objectives(solution)), solution)
+        level += params.step
+        level_index += 1
+    return archive
 
 
 def reference_exact_pareto(instance: Instance) -> list[tuple[ObjectiveVector, Solution]]:

@@ -53,8 +53,9 @@ MUTANTS = [
      ["test_construct.py"]),
     # the CLI hands --step to SweepParams as text, so "1/0" must fail there
     ("SweepParams lets a zero denominator through", "construct.py",
-     "except (TypeError, ValueError, ZeroDivisionError):", "except (TypeError, ValueError):",
-     ["test_cli.py"]),
+     "ZeroDivisionError, ", "", ["test_cli.py"]),
+    ("SweepParams lets an infinite Decimal through", "construct.py",
+     ", OverflowError)", ")", ["test_construct.py"]),
     ("read_instance rejects a byte-order mark", "instances.py",
      '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
     # both objectives and their printed form
@@ -165,13 +166,15 @@ MUTANTS = [
     ("sweep builds one repetition short", "construct.py",
      "range(params.solutions_per_level)", "range(params.solutions_per_level - 1)",
      ["test_construct.py"]),
-    # each packing's stream must depend on both its level and its repetition;
-    # only the CLI's pinned digest shows a shared stream
+    ("level grid drops its last level", "construct.py",
+     "/ step) + 1", "/ step)", ["test_construct.py"]),
+    ("level grid sweeps one level too many", "construct.py",
+     "/ step) + 1", "/ step) + 2", ["test_construct.py"]),
     ("rng ignores repetition", "construct.py",
      "level_index * 0x100000001B3 + repetition", "level_index * 0x100000001B3",
-     ["test_cli.py"]),
+     ["test_construct.py"]),
     ("rng ignores level", "construct.py",
-     "level_index * 0x100000001B3 + repetition", "repetition", ["test_cli.py"]),
+     "level_index * 0x100000001B3 + repetition", "repetition", ["test_construct.py"]),
     ("cli allows one level over the cap", "cli.py",
      "levels > MAX_LEVELS", "levels > MAX_LEVELS + 1", ["test_cli.py"]),
 ]

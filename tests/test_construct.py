@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,6 @@ from bibinpack.construct import (
     best_fit_bin,
     construct_solution,
     draw_max_heterogeneousness,
-    level_count,
     order_items,
     random_fit_bin,
     round_level,
@@ -29,7 +30,7 @@ from bibinpack.model import (
 )
 from bibinpack.oracle import exact_pareto
 
-from helpers import random_instance, reference_construct
+from helpers import random_instance, reference_construct, reference_sweep
 
 
 def simple_instance(weights_attrs: list[tuple[int, str]], capacity: int) -> Instance:
@@ -199,7 +200,7 @@ def test_assign_keeps_packing_state_consistent(specs, data):
     assert sorted(k for ids in partial.members for k in ids) == list(range(inst.n))
 
 
-# ------------------------------------------------------------- full builds
+# --------------------------------------------------- full builds and sweeps
 
 @settings(deadline=None)
 @given(
@@ -223,62 +224,48 @@ def test_construct_matches_plain_reference(specs, heuristic, ordering, level, se
     assert rng.getstate() == reference_rng.getstate()
 
 
-# ------------------------------------------------------------------ levels
+@settings(deadline=None)
+@given(
+    specs=st.lists(st.tuples(st.integers(10, 60), st.sampled_from("ABC")), min_size=1, max_size=8),
+    heuristic=st.sampled_from(Heuristic),
+    ordering=st.sampled_from(Ordering),
+    step=st.fractions(min_value=Fraction(1, 10), max_value=2, max_denominator=10),
+    reps=st.integers(1, 3),
+    seed=st.integers(min_value=0),
+)
+def test_sweep_matches_plain_fold(specs, heuristic, ordering, step, reps, seed):
+    inst = Instance(capacity=100, items=tuple(Item(w, a) for w, a in specs))
+    with warnings.catch_warnings():
+        # a step over 1 warns that it skips levels; the grid it sweeps is checked here
+        warnings.filterwarnings("ignore", "step .* skips", UserWarning)
+        params = SweepParams(step=step, solutions_per_level=reps, rng_seed=seed,
+                             heuristic=heuristic, ordering=ordering)
+    reference = reference_sweep(inst, params)
+    assert run_sweep(inst, params).sorted_entries() == reference.sorted_entries()
+
 
 class StopSweep(Exception):
     pass
 
 
-def swept_levels(monkeypatch, attributes: str, step: Fraction, stop_after: int = 0) -> list:
-    """The level of each packing a one-repetition sweep builds, in order.
+def test_level_grid_is_lazy():
+    # five attributes at this step make 400,001 levels; three packings must not cost them all
+    built = []
 
-    A pass-through of `construct_solution` records each level; with
-    `stop_after`, it raises `StopSweep` once that many are recorded.
-    """
-    levels = []
-
-    def recording(instance, params, level, rng):
-        levels.append(level)
-        if len(levels) == stop_after:
+    def stop_after_three(vector, solution):
+        built.append(vector)
+        if len(built) == 3:
             raise StopSweep
-        return construct_solution(instance, params, level, rng)
 
-    monkeypatch.setattr("bibinpack.construct.construct_solution", recording)
-    inst = simple_instance([(1, attribute) for attribute in attributes], capacity=10)
-    params = SweepParams(step=step, solutions_per_level=1)
-    if stop_after:
-        with pytest.raises(StopSweep):
-            run_sweep(inst, params)
-    else:
-        run_sweep(inst, params)
-    return levels
-
-
-def test_level_grid_count_and_bounds(monkeypatch):
-    levels = swept_levels(monkeypatch, "ABCDE", Fraction(1, 10))
-    assert len(levels) == level_count(5, Fraction(1, 10)) == 41
-    assert levels[0] == 1
-    assert levels[-1] == 5
-    assert all(levels[i + 1] - levels[i] == Fraction(1, 10) for i in range(40))
-
-
-def test_level_grid_single_attribute(monkeypatch):
-    assert swept_levels(monkeypatch, "A", Fraction(1, 10)) == [Fraction(1)]
-
-
-def test_level_grid_step_not_dividing_range(monkeypatch):
-    levels = swept_levels(monkeypatch, "AB", Fraction(3, 10))
-    assert levels == [Fraction(1), Fraction(13, 10), Fraction(16, 10), Fraction(19, 10)]
-
-
-def test_level_grid_is_lazy(monkeypatch):
+    inst = simple_instance([(1, attribute) for attribute in "ABCDE"], capacity=10)
+    params = SweepParams(step=Fraction(1, 100_000), solutions_per_level=1)
     tracemalloc.start()
     try:
-        first = swept_levels(monkeypatch, "ABCDE", Fraction(1, 100_000), stop_after=3)
+        with pytest.raises(StopSweep):
+            run_sweep(inst, params, stop_after_three)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == [1 + k * Fraction(1, 100_000) for k in range(3)]
     assert peak < 1_000_000
 
 
@@ -293,8 +280,8 @@ def test_sweep_params_validation():
     for bad in ("7", 7.0, False):
         with pytest.raises(ValueError, match="rng_seed must be an int"):
             SweepParams(rng_seed=bad)
-    # Fraction reads True as 1, and raises TypeError or ZeroDivisionError on the rest
-    for bad in (True, None, [1], "1/0"):
+    # Fraction reads True as 1, and raises TypeError, ZeroDivisionError or OverflowError on the rest
+    for bad in (True, None, [1], "1/0", Decimal("Infinity")):
         with pytest.raises(ValueError, match="^step must be a rational number, got "):
             SweepParams(step=bad)
     with pytest.warns(UserWarning, match="skips") as record:
