@@ -75,11 +75,11 @@ class PartialSolution:
         self.by_residual: list[int] = []
         self.bit_of = instance.attribute_bit
 
-    def assign(self, item_id: int, index: int | None) -> int:
+    def assign(self, item_id: int, index: int | None) -> None:
         """Put item `item_id` into bin `index`, or open a new bin when None.
 
-        Returns the index of the bin used. Only capacity is enforced here;
-        attribute caps are the bin-selection functions' concern.
+        The caller's target is trusted: both bin-selection functions scan only
+        bins with room for the item and within its attribute cap.
         """
         item = self.instance.items[item_id]
         weight = item.weight
@@ -96,18 +96,12 @@ class PartialSolution:
             self.attribute_masks.append(self.bit_of[item.attribute])
         else:
             load = loads[index]
-            if load + weight > capacity:
-                raise ValueError(
-                    f"item {item_id} does not fit bin {index}: "
-                    f"{load} + {weight} > {capacity}"
-                )
             del by_residual[bisect_left(by_residual, (capacity - load) << bits | index)]
             load += weight
             loads[index] = load
             self.members[index].append(item_id)
             self.attribute_masks[index] |= self.bit_of[item.attribute]
         insort(by_residual, (capacity - load) << bits | index)
-        return index
 
     def to_solution(self) -> Solution:
         bins = tuple(Bin(frozenset(ids)) for ids in self.members)

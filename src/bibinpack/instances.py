@@ -25,9 +25,10 @@ def generate_instance(n: int, rng_seed: int) -> Instance:
     packing with n/5 bins therefore always exists, matching the trivial
     lower bound.
     """
-    # None would seed from OS entropy, and a bool or str would seed silently
+    # None would seed from OS entropy, a bool or str would seed silently, and
+    # random.Random seeds from abs(rng_seed), so -7 would repeat seed 7's instance
     require_int("n", n)
-    require_int("rng_seed", rng_seed)
+    require_int("rng_seed", rng_seed, 0)
     if n < GROUP_SIZE or n % GROUP_SIZE:
         raise ValueError(f"n must be a positive multiple of {GROUP_SIZE}, got {n}")
     rng = random.Random(rng_seed)

@@ -36,8 +36,8 @@ class Instance:
     """A packing problem: bin capacity plus the items to distribute.
 
     Construction validates everything downstream code relies on, so an
-    Instance that exists has int weights and capacity and str attributes,
-    and is feasible: every item fits an empty bin.
+    Instance that exists holds only Items, has int weights and capacity and
+    str attributes, and is feasible: every item fits an empty bin.
 
     The item orders and attribute bits every packing shares
     (`heaviest_first`, `lightest_first`, `attribute_bit`) are computed on
@@ -55,6 +55,8 @@ class Instance:
         if not self.items:
             raise ValueError("instance needs at least one item")
         for position, item in enumerate(self.items):
+            if not isinstance(item, Item):
+                raise ValueError(f"item {position}: expected an Item, got {item!r}")
             if item.weight > self.capacity:
                 raise ValueError(
                     f"item {position}: weight {item.weight} exceeds capacity "

@@ -39,6 +39,9 @@ MUTANTS = [
      ["test_model.py"]),
     ("Instance.capacity unchecked", "model.py",
      '        require_int("capacity", self.capacity, 1)\n', "", ["test_model.py"]),
+    ("Instance accepts a non-Item", "model.py",
+     "            if not isinstance(item, Item):\n", "            if False:\n",
+     ["test_model.py"]),
     ("SweepParams.solutions_per_level unchecked", "construct.py",
      '        require_int("solutions_per_level", self.solutions_per_level, 1)\n', "",
      ["test_construct.py"]),
@@ -47,7 +50,9 @@ MUTANTS = [
     ("generate_instance n unchecked", "instances.py",
      '    require_int("n", n)\n', "", ["test_instances.py"]),
     ("generate_instance rng_seed unchecked", "instances.py",
-     '    require_int("rng_seed", rng_seed)\n', "", ["test_instances.py"]),
+     '    require_int("rng_seed", rng_seed, 0)\n', "", ["test_instances.py"]),
+    ("generate_instance accepts a negative seed", "instances.py",
+     "rng_seed, 0)", "rng_seed)", ["test_instances.py"]),
     ("SweepParams step accepts a bool", "construct.py",
      "isinstance(self.step, (float, bool))", "isinstance(self.step, float)",
      ["test_construct.py"]),
@@ -107,11 +112,9 @@ MUTANTS = [
     # the order leaves the fronts exact and moves only the search counts
     ("oracle enumerates lightest-first", "oracle.py",
      "instance.heaviest_first", "instance.lightest_first", ["test_oracle.py"]),
-    # the capacity tests, one over the capacity
+    # the capacity test, one over the capacity
     ("validate_solution allows one over capacity", "model.py",
      "if load > instance.capacity:", "if load > instance.capacity + 1:", ["test_model.py"]),
-    ("assign allows one over capacity", "construct.py",
-     "if load + weight > capacity:", "if load + weight > capacity + 1:", ["test_construct.py"]),
     # random_fit_bin's bisection only: best_fit_bin's line reads the same
     ("random fit skips an exact fit", "construct.py",
      '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'

@@ -7,28 +7,23 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bibinpack.construct import (
     Heuristic,
     Ordering,
-    PartialSolution,
     SweepParams,
-    best_fit_bin,
     construct_solution,
     draw_max_heterogeneousness,
     order_items,
-    random_fit_bin,
     round_level,
     run_sweep,
 )
 from bibinpack.model import (
     Instance,
     Item,
-    evaluate,
 )
-from bibinpack.oracle import exact_pareto
 
 from helpers import random_instance, reference_construct, reference_sweep
 
@@ -70,136 +65,6 @@ def test_orders_and_rounding_match_plain_ones():
     assert rng.getstate() == reference_rng.getstate()
 
 
-# ------------------------------------------------------------ bin selection
-
-def build_partial(instance: Instance, assignments: list[tuple[int, int | None]]) -> PartialSolution:
-    partial = PartialSolution(instance)
-    for item_id, target in assignments:
-        partial.assign(item_id, target)
-    return partial
-
-
-def test_best_fit_picks_smallest_residual():
-    # residuals after seeding: bin0=5, bin1=3, bin2=10 (capacity 12)
-    inst = simple_instance(
-        [(7, "A"), (9, "A"), (2, "A"), (3, "A")], capacity=12
-    )
-    partial = build_partial(inst, [(0, None), (1, None), (2, None)])
-    assert best_fit_bin(partial, inst.items[3], max_heterogeneousness=1) == 1
-
-
-def test_best_fit_opens_new_bin_when_nothing_fits():
-    inst = simple_instance([(10, "A"), (10, "A"), (5, "A")], capacity=12)
-    partial = build_partial(inst, [(0, None), (1, None)])
-    assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=5) is None
-
-
-def test_best_fit_tie_goes_to_lowest_index():
-    inst = simple_instance([(4, "A"), (4, "A"), (3, "A")], capacity=10)
-    partial = build_partial(inst, [(0, None), (1, None)])
-    assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=1) == 0
-
-
-def test_best_fit_attribute_cap_excludes_mixed_bin():
-    # room is available in the A-bin, but a cap of 1 forbids mixing
-    inst = simple_instance([(2, "A"), (2, "B"), (2, "B")], capacity=10)
-    partial = build_partial(inst, [(0, None)])
-    assert best_fit_bin(partial, inst.items[1], max_heterogeneousness=1) is None
-    partial.assign(1, None)
-    assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=1) == 1
-    partial.assign(2, 1)
-    vector = evaluate(partial.to_solution())
-    # the packing this forces is one of the two efficient outcomes
-    assert vector in {v for v, _ in exact_pareto(inst)}
-
-
-def test_best_fit_cap_two_allows_mixing():
-    inst = simple_instance([(2, "A"), (2, "B")], capacity=10)
-    partial = build_partial(inst, [(0, None)])
-    assert best_fit_bin(partial, inst.items[1], max_heterogeneousness=2) == 0
-
-
-def test_best_fit_counts_existing_attribute_as_free():
-    # an item whose attribute is already present never raises the mix count
-    inst = simple_instance([(2, "A"), (2, "B"), (2, "A")], capacity=10)
-    partial = build_partial(inst, [(0, None)])
-    partial.assign(1, 0)
-    assert evaluate(partial.to_solution()).z2 == 2
-    assert best_fit_bin(partial, inst.items[2], max_heterogeneousness=2) == 0
-
-
-def test_best_fit_reads_every_bit_of_the_bin_index():
-    # at n = 10 a key holds 4 index bits, and bin 8 is the first to need the fourth
-    inst = simple_instance([(6, "A")] * 8 + [(7, "A"), (3, "A")], capacity=10)
-    partial = PartialSolution(inst)
-    for item_id in range(9):
-        assert partial.assign(item_id, best_fit_bin(partial, inst.items[item_id], 1)) == item_id
-    assert best_fit_bin(partial, inst.items[9], max_heterogeneousness=1) == 8
-
-
-def test_random_fit_single_candidate_is_certain():
-    # bin 0's residual is 5, and then 4, exactly the third item's weight
-    for first in (5, 6):
-        inst = simple_instance([(first, "A"), (9, "A"), (4, "A")], capacity=10)
-        partial = build_partial(inst, [(0, None), (1, None)])
-        rng = random.Random(0)
-        assert all(random_fit_bin(partial, inst.items[2], 1, rng) == 0 for _ in range(50))
-
-
-def test_random_fit_no_candidate_opens_new_bin():
-    inst = simple_instance([(9, "A"), (9, "A"), (4, "A")], capacity=10)
-    partial = build_partial(inst, [(0, None), (1, None)])
-    assert random_fit_bin(partial, inst.items[2], 1, random.Random(0)) is None
-
-
-def test_random_fit_two_candidates_are_uniform():
-    inst = simple_instance([(5, "A"), (5, "A"), (3, "A")], capacity=10)
-    partial = build_partial(inst, [(0, None), (1, None)])
-    rng = random.Random(77)
-    trials = 10_000
-    hits = sum(random_fit_bin(partial, inst.items[2], 1, rng) == 0 for _ in range(trials))
-    assert 0.48 <= hits / trials <= 0.52
-
-
-def test_assign_rejects_overfull_target():
-    # 9 + 4 and 9 + 2 overflow a capacity of 10, and 9 + 1 fills it exactly
-    inst = simple_instance([(9, "A"), (4, "A"), (2, "A"), (1, "A")], capacity=10)
-    partial = build_partial(inst, [(0, None)])
-    for item_id in (1, 2):
-        with pytest.raises(ValueError, match="does not fit"):
-            partial.assign(item_id, 0)
-    assert partial.assign(3, 0) == 0
-    assert partial.loads == [10]
-
-
-@settings(deadline=None)
-@given(
-    specs=st.lists(st.tuples(st.integers(1, 100), st.sampled_from("ABC")), min_size=1, max_size=12),
-    data=st.data(),
-)
-def test_assign_keeps_packing_state_consistent(specs, data):
-    inst = Instance(capacity=100, items=tuple(Item(w, a) for w, a in specs))
-    bit = {a: 1 << k for k, a in enumerate(sorted(inst.attribute_universe))}
-    partial = PartialSolution(inst)
-    for item_id in data.draw(st.permutations(range(inst.n))):
-        weight = inst.items[item_id].weight
-        roomy = [i for i, load in enumerate(partial.loads) if load + weight <= inst.capacity]
-        target = data.draw(st.sampled_from([None, *roomy]))
-        opened = len(partial.loads)
-        assert partial.assign(item_id, target) == (opened if target is None else target)
-        assert partial.by_residual == sorted(
-            (inst.capacity - load) << partial.bits | i for i, load in enumerate(partial.loads)
-        )
-        assert len(partial.members) == len(partial.loads) == len(partial.attribute_masks)
-        for i, ids in enumerate(partial.members):
-            assert partial.loads[i] == sum(inst.items[k].weight for k in ids)
-            mask = 0
-            for k in ids:
-                mask |= bit[inst.items[k].attribute]
-            assert partial.attribute_masks[i] == mask
-    assert sorted(k for ids in partial.members for k in ids) == list(range(inst.n))
-
-
 # --------------------------------------------------- full builds and sweeps
 
 @settings(deadline=None)
@@ -213,6 +78,18 @@ def test_assign_keeps_packing_state_consistent(specs, data):
     ),
     seed=st.integers(min_value=0),
 )
+# n = 10 keys hold 4 index bits; bin 8, filled exactly by item 9, is the first to need the fourth
+@example(specs=[(60, "A")] * 8 + [(55, "A"), (45, "A")], heuristic=Heuristic.BEST_FIT,
+         ordering=Ordering.DECREASING, level=Fraction(1), seed=0)
+# two bins of equal residual: the item goes to bin 0
+@example(specs=[(60, "A"), (60, "A"), (30, "A")], heuristic=Heuristic.BEST_FIT,
+         ordering=Ordering.DECREASING, level=Fraction(1), seed=0)
+# a cap of 1 refuses the fuller A bin, so the last B joins the B bin
+@example(specs=[(40, "A"), (30, "B"), (20, "B")], heuristic=Heuristic.BEST_FIT,
+         ordering=Ordering.DECREASING, level=Fraction(1), seed=0)
+# two bins fit the last item exactly, and seeds 0 and 1 pick different ones
+@example(specs=[(60, "A"), (60, "A"), (40, "A")], heuristic=Heuristic.RANDOM_FIT,
+         ordering=Ordering.DECREASING, level=Fraction(1), seed=0)
 def test_construct_matches_plain_reference(specs, heuristic, ordering, level, seed):
     inst = Instance(capacity=100, items=tuple(Item(w, a) for w, a in specs))
     rng, reference_rng = random.Random(seed), random.Random(seed)

@@ -58,10 +58,16 @@ def test_generate_rejects_bad_sizes(bad_n):
 @pytest.mark.parametrize("bad", [True, 1.5, "x", None])
 def test_generate_rejects_non_integer_arguments(bad):
     # True would reproduce seed 1's instance and None an unseeded one
-    with pytest.raises(ValueError, match=f"rng_seed must be an int, got {bad!r}"):
+    with pytest.raises(ValueError, match=f"rng_seed must be an int >= 0, got {bad!r}"):
         generate_instance(10, rng_seed=bad)
     with pytest.raises(ValueError, match=f"n must be an int, got {bad!r}"):
         generate_instance(bad, rng_seed=0)
+
+
+def test_generate_rejects_a_negative_seed():
+    # random.Random seeds from abs(seed), so -7 would repeat seed 7's instance
+    with pytest.raises(ValueError, match="rng_seed must be an int >= 0, got -7"):
+        generate_instance(20, rng_seed=-7)
 
 
 def test_attribute_frequencies_are_balanced():

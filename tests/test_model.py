@@ -77,6 +77,13 @@ def test_instance_rejects_non_string_attribute():
             Instance(capacity=100, items=(Item(10, "A"), Item(20, attribute)))
 
 
+def test_instance_rejects_a_non_item():
+    for item in ((1, "A"), "x", None):
+        message = re.escape(f"item 1: expected an Item, got {item!r}")
+        with pytest.raises(ValueError, match=message):
+            Instance(capacity=10, items=[Item(1, "A"), item])
+
+
 def test_lower_bound_rounds_up():
     inst = Instance(capacity=10, items=(Item(7, "A"), Item(7, "A")))
     assert inst.lower_bound == 2
