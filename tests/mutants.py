@@ -69,6 +69,8 @@ MUTANTS = [
     ("evaluate counts items, not attributes", "model.py",
      "len({items[i].attribute for i in b.member_ids})", "len(b.member_ids)",
      ["test_model.py"]),
+    ("format_z2 rounds half down", "model.py",
+     "2 * remainder >= value.denominator", "2 * remainder > value.denominator", ["test_model.py"]),
     ("vector prints without its parentheses", "model.py",
      'return f"({self.z1}, {format_z2(self.z2)})"', 'return f"{self.z1}, {format_z2(self.z2)}"',
      ["test_model.py"]),

@@ -51,12 +51,6 @@ def test_full_grid_run(tmp_path, capsys):
     assert all(float(r["seconds"]) >= 0 for r in timing_rows)
     assert (out / "instance.txt").exists()
 
-
-def test_best_markers_match_union_front(tmp_path):
-    out = tmp_path / "results"
-    assert main(["--generate", "20", "--seed", "3", "--out", str(out), *FAST]) == EXIT_OK
-    rows = read_rows(out / "results.csv")
-
     # recompute the per-cell archives with the same parameters
     instance = generate_instance(20, rng_seed=3)
     vectors_by_cell: dict[tuple[str, str], list[ObjectiveVector]] = {}
@@ -85,17 +79,6 @@ def test_single_cell_run(tmp_path):
     rows = read_rows(out / "results.csv")
     assert {(r["heuristic"], r["order"]) for r in rows} == {("best-fit", "decreasing")}
     assert len(read_rows(out / "timings.csv")) == 1
-
-
-def test_repeat_invocation_is_byte_identical(tmp_path):
-    out = tmp_path / "repeat"
-    args = ["--generate", "25", "--seed", "9", "--out", str(out), *FAST]
-    assert main(args) == EXIT_OK
-    first = (out / "results.csv").read_bytes()
-    first_instance = (out / "instance.txt").read_bytes()
-    assert main(args) == EXIT_OK
-    assert (out / "results.csv").read_bytes() == first
-    assert (out / "instance.txt").read_bytes() == first_instance
 
 
 def test_loaded_instance_run(tmp_path):
