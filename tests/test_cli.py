@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -27,11 +29,20 @@ def read_rows(path) -> list[dict[str, str]]:
         return list(csv.DictReader(handle))
 
 
-def test_full_grid_run(tmp_path, capsys):
-    out = tmp_path / "results"
-    code = main(["--generate", "20", "--seed", "3", "--out", str(out), *FAST])
+@pytest.fixture(scope="module")
+def grid_run(tmp_path_factory) -> tuple[Path, str]:
+    """One full-grid run shared by the checks on its outputs: the output
+    directory and what the run printed."""
+    out = tmp_path_factory.mktemp("grid") / "results"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["--generate", "20", "--seed", "3", "--out", str(out), *FAST])
     assert code == EXIT_OK
-    stdout = capsys.readouterr().out
+    return out, stdout.getvalue()
+
+
+def test_full_grid_run(grid_run):
+    out, stdout = grid_run
     assert "best-fit / decreasing" in stdout
     assert "wrote" in stdout
 
@@ -50,6 +61,11 @@ def test_full_grid_run(tmp_path, capsys):
     assert len(timing_rows) == 6
     assert all(float(r["seconds"]) >= 0 for r in timing_rows)
     assert (out / "instance.txt").exists()
+
+
+def test_best_markers_match_union_front(grid_run):
+    out, _ = grid_run
+    rows = read_rows(out / "results.csv")
 
     # recompute the per-cell archives with the same parameters
     instance = generate_instance(20, rng_seed=3)
