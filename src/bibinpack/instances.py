@@ -16,6 +16,15 @@ class InstanceFormatError(ValueError):
     """An instance file could not be parsed; the message names the line."""
 
 
+def _int_token(token: str) -> int:
+    """Read an optional sign and ASCII digits. int() alone also reads "1_000"
+    and non-ASCII digits such as "٣"; on ASCII text without "_" it reads
+    nothing else, as split() has removed the whitespace it would skip."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
+
+
 def generate_instance(n: int, rng_seed: int) -> Instance:
     """Random benchmark instance: n items in groups of five whose weights sum
     to the bin capacity, attributes drawn uniformly from five labels.
@@ -70,7 +79,7 @@ def read_instance(path: str | Path) -> Instance:
     if len(header) != 2:
         raise InstanceFormatError(f"line 1: expected 'n capacity', got {lines[0]!r}")
     try:
-        n, capacity = int(header[0]), int(header[1])
+        n, capacity = _int_token(header[0]), _int_token(header[1])
     except ValueError:
         raise InstanceFormatError(f"line 1: non-integer header field in {lines[0]!r}") from None
     if n < 1:
@@ -92,7 +101,7 @@ def read_instance(path: str | Path) -> Instance:
                 f"line {line_number}: expected 'weight attribute', got {body[offset]!r}"
             )
         try:
-            weight = int(parts[0])
+            weight = _int_token(parts[0])
         except ValueError:
             raise InstanceFormatError(
                 f"line {line_number}: non-integer weight {parts[0]!r}"

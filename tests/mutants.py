@@ -63,6 +63,8 @@ MUTANTS = [
      ", OverflowError)", ")", ["test_construct.py"]),
     ("read_instance rejects a byte-order mark", "instances.py",
      '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
+    ("read_instance reads every int() literal", "instances.py",
+     'if not token.isascii() or "_" in token:', "if False:", ["test_instances.py"]),
     # both objectives and their printed form
     ("evaluate counts one bin too many", "model.py",
      "used = len(solution.bins)", "used = len(solution.bins) + 1", ["test_model.py"]),

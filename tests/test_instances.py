@@ -162,13 +162,16 @@ def test_read_reports_overweight_item(tmp_path):
 
 
 def test_read_reports_non_integer_weight(tmp_path):
-    message = parse_error(tmp_path, "1 100\nten A\n")
-    assert message.startswith("line 2") and "non-integer weight" in message
+    for weight in ("ten", "1_0", "٣"):  # int() alone reads 1_0 and Arabic-Indic 3
+        message = parse_error(tmp_path, f"1 100\n{weight} A\n")
+        assert message == f"line 2: non-integer weight {weight!r}"
 
 
 def test_read_reports_bad_header(tmp_path):
     assert "line 1" in parse_error(tmp_path, "just-one-token\n")
-    assert "line 1" in parse_error(tmp_path, "x 100\n")
+    for header in ("x 100", "2 1_000", "٣ 100"):
+        message = parse_error(tmp_path, f"{header}\n10 A\n20 B\n")
+        assert message == f"line 1: non-integer header field in {header!r}"
     assert "line 1" in parse_error(tmp_path, "")
 
 

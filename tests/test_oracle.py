@@ -3,7 +3,6 @@ from __future__ import annotations
 import random
 import sys
 from fractions import Fraction
-from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,53 +13,7 @@ from bibinpack.instances import generate_instance
 from bibinpack.model import Instance, Item, ObjectiveVector
 from bibinpack.oracle import exact_pareto
 
-from helpers import brute_force_front, check_front, random_instance, reference_exact_pareto
-
-
-def labeled_enumeration_front(inst: Instance) -> set[ObjectiveVector]:
-    """Second implementation: enumerate labeled bin assignments, keep one
-    canonical representative per partition, then filter to the efficient set."""
-    n = inst.n
-    feasible_vectors: list[ObjectiveVector] = []
-    for assignment in product(range(n), repeat=n):
-        highest = -1
-        canonical = True
-        for label in assignment:
-            if label > highest + 1:
-                canonical = False
-                break
-            highest = max(highest, label)
-        if not canonical:
-            continue
-        loads = [0] * (highest + 1)
-        mixes = [set() for _ in range(highest + 1)]
-        for item_id, label in enumerate(assignment):
-            loads[label] += inst.items[item_id].weight
-            mixes[label].add(inst.items[item_id].attribute)
-        if any(load > inst.capacity for load in loads):
-            continue
-        used = highest + 1
-        feasible_vectors.append(
-            ObjectiveVector(used, Fraction(sum(len(m) for m in mixes), used))
-        )
-    return brute_force_front(feasible_vectors)
-
-
-@st.composite
-def small_instances(draw) -> Instance:
-    specs = draw(st.lists(st.tuples(st.integers(10, 60), st.sampled_from("ABC")),
-                          min_size=1, max_size=6))
-    items = tuple(Item(weight, attribute) for weight, attribute in specs)
-    return Instance(capacity=100, items=items)
-
-
-@settings(deadline=None, max_examples=60)
-@example(random_instance(random.Random(2718), n=7))
-@given(small_instances())
-def test_matches_labeled_assignment_enumeration(inst):
-    front = exact_pareto(inst)
-    assert {v for v, _ in front} == labeled_enumeration_front(inst)
-    check_front(front)
+from helpers import check_front, random_instance, reference_exact_pareto
 
 
 def front_key(front) -> list:
@@ -78,6 +31,7 @@ def pruning_instances(draw) -> Instance:
 
 
 @settings(deadline=None, max_examples=150)
+@example(random_instance(random.Random(2718), n=7))
 # an unseen-attribute count one too high, or one that counts held attributes,
 # prunes a partition that is efficient here
 @example(Instance(capacity=100, items=tuple(
