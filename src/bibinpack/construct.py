@@ -8,7 +8,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .archive import ParetoArchive
 from .model import Bin, Instance, Item, ObjectiveVector, Solution, evaluate, require_int
@@ -108,18 +108,19 @@ class PartialSolution:
         return Solution(bins=bins, instance=self.instance)
 
 
-def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> list[int]:
+def order_items(instance: Instance, ordering: Ordering, rng: random.Random) -> Sequence[int]:
     """Item ids in processing order; weight ties keep ascending id.
 
-    A fixed order is sorted once per instance, by the instance, and every
-    call returns a fresh list.
+    A fixed order is the instance's own tuple, sorted once per instance; the
+    random order is a fresh shuffle. Callers iterate the order and do not
+    change it.
     """
     if ordering is Ordering.RANDOM:
         ids = list(range(instance.n))
         rng.shuffle(ids)
         return ids
-    return list(instance.heaviest_first if ordering is Ordering.DECREASING
-                else instance.lightest_first)
+    return (instance.heaviest_first if ordering is Ordering.DECREASING
+            else instance.lightest_first)
 
 
 def round_level(level: Fraction) -> tuple[int, float | None]:

@@ -10,6 +10,12 @@ from .model import Instance, Item, require_int
 BENCHMARK_CAPACITY = 1000
 GROUP_SIZE = 5
 ATTRIBUTE_LABELS = ("A", "B", "C", "D", "E")
+# an integer token longer than this is refused before int() reads it, so the
+# rule does not depend on int()'s own digit limit (at least 640), and a message
+# that prints two integers stays short
+MAX_INTEGER_CHARS = 50
+# a message quotes at most this many characters of the file's text
+EXCERPT_CHARS = 40
 
 
 class InstanceFormatError(ValueError):
@@ -19,10 +25,25 @@ class InstanceFormatError(ValueError):
 def _int_token(token: str) -> int:
     """Read an optional sign and ASCII digits. int() alone also reads "1_000"
     and non-ASCII digits such as "٣"; on ASCII text without "_" it reads
-    nothing else, as split() has removed the whitespace it would skip."""
+    nothing else, as split() has removed the whitespace it would skip.
+
+    An integer longer than MAX_INTEGER_CHARS, its sign included, raises
+    OverflowError; any other token int() cannot read raises ValueError.
+    """
     if not token.isascii() or "_" in token:
         raise ValueError(token)
+    if len(token) > MAX_INTEGER_CHARS:
+        digits = token[1:] if token[0] in "+-" else token
+        if digits.isdigit():
+            raise OverflowError(f"{len(token)} characters, at most {MAX_INTEGER_CHARS}")
     return int(token)
+
+
+def _excerpt(text: str) -> str:
+    """repr() of the file's text, cut to EXCERPT_CHARS characters when longer."""
+    if len(text) <= EXCERPT_CHARS:
+        return repr(text)
+    return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
 
 
 def generate_instance(n: int, rng_seed: int) -> Instance:
@@ -53,6 +74,9 @@ def generate_instance(n: int, rng_seed: int) -> Instance:
 def write_instance(instance: Instance, path: str | Path) -> None:
     """Write the plain-text format: "n capacity" header, then one
     "weight attribute" line per item."""
+    # weights are at most the capacity, so the capacity is the longest integer
+    if instance.capacity >= 10**MAX_INTEGER_CHARS:
+        raise ValueError(f"capacity has more than {MAX_INTEGER_CHARS} digits, too long to write")
     lines = [f"{instance.n} {instance.capacity}"]
     for position, item in enumerate(instance.items):
         if not item.attribute or any(ch.isspace() for ch in item.attribute):
@@ -77,11 +101,15 @@ def read_instance(path: str | Path) -> Instance:
         raise InstanceFormatError("line 1: empty file, expected 'n capacity' header")
     header = lines[0].split()
     if len(header) != 2:
-        raise InstanceFormatError(f"line 1: expected 'n capacity', got {lines[0]!r}")
+        raise InstanceFormatError(f"line 1: expected 'n capacity', got {_excerpt(lines[0])}")
     try:
         n, capacity = _int_token(header[0]), _int_token(header[1])
+    except OverflowError as exc:
+        raise InstanceFormatError(f"line 1: header field too long ({exc})") from None
     except ValueError:
-        raise InstanceFormatError(f"line 1: non-integer header field in {lines[0]!r}") from None
+        raise InstanceFormatError(
+            f"line 1: non-integer header field in {_excerpt(lines[0])}"
+        ) from None
     if n < 1:
         raise InstanceFormatError(f"line 1: item count must be >= 1, got {n}")
     if capacity < 1:
@@ -98,13 +126,15 @@ def read_instance(path: str | Path) -> Instance:
         parts = body[offset].split()
         if len(parts) != 2:
             raise InstanceFormatError(
-                f"line {line_number}: expected 'weight attribute', got {body[offset]!r}"
+                f"line {line_number}: expected 'weight attribute', got {_excerpt(body[offset])}"
             )
         try:
             weight = _int_token(parts[0])
+        except OverflowError as exc:
+            raise InstanceFormatError(f"line {line_number}: weight too long ({exc})") from None
         except ValueError:
             raise InstanceFormatError(
-                f"line {line_number}: non-integer weight {parts[0]!r}"
+                f"line {line_number}: non-integer weight {_excerpt(parts[0])}"
             ) from None
         if weight < 1:
             raise InstanceFormatError(f"line {line_number}: weight must be >= 1, got {weight}")
@@ -115,5 +145,7 @@ def read_instance(path: str | Path) -> Instance:
         items.append(Item(weight=weight, attribute=parts[1]))
     for line_number, line in enumerate(body[n:], start=n + 2):
         if line.strip():
-            raise InstanceFormatError(f"line {line_number}: unexpected trailing content {line!r}")
+            raise InstanceFormatError(
+                f"line {line_number}: unexpected trailing content {_excerpt(line)}"
+            )
     return Instance(capacity=capacity, items=tuple(items))

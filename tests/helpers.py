@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from bibinpack.archive import ParetoArchive
 from bibinpack.construct import SweepParams
@@ -49,7 +50,7 @@ def check_front(front: list[tuple[ObjectiveVector, Solution]]) -> None:
         assert evaluate(witness) == vector
 
 
-def classic_best_fit(instance: Instance, item_order: list[int]) -> list[list[int]]:
+def classic_best_fit(instance: Instance, item_order: Sequence[int]) -> list[list[int]]:
     """Textbook attribute-blind best fit: fullest feasible bin, lowest index on ties."""
     bins: list[list[int]] = []
     loads: list[int] = []

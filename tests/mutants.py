@@ -65,6 +65,18 @@ MUTANTS = [
      '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
     ("read_instance reads every int() literal", "instances.py",
      'if not token.isascii() or "_" in token:', "if False:", ["test_instances.py"]),
+    # an over-long integer is called too long, and a quote of the file is cut short
+    ("read_instance hands an over-long integer to int()", "instances.py",
+     "        if digits.isdigit():\n", "        if False:\n", ["test_instances.py"]),
+    ("integer length cap excludes its maximum", "instances.py",
+     "if len(token) > MAX_INTEGER_CHARS:", "if len(token) >= MAX_INTEGER_CHARS:",
+     ["test_instances.py"]),
+    ("read_instance quotes a whole long line", "instances.py",
+     "if len(text) <= EXCERPT_CHARS:", "if True:", ["test_instances.py"]),
+    ("excerpt cuts a line at its limit", "instances.py",
+     "if len(text) <= EXCERPT_CHARS:", "if len(text) < EXCERPT_CHARS:", ["test_instances.py"]),
+    ("write_instance writes a capacity read_instance refuses", "instances.py",
+     "if instance.capacity >= 10**MAX_INTEGER_CHARS:", "if False:", ["test_instances.py"]),
     # both objectives and their printed form
     ("evaluate counts one bin too many", "model.py",
      "used = len(solution.bins)", "used = len(solution.bins) + 1", ["test_model.py"]),
@@ -139,10 +151,6 @@ MUTANTS = [
      "if threshold is None or rng.random() < threshold:", ["test_construct.py"]),
     ("cap draw's chance divides by the numerator", "construct.py",
      "remainder / level.denominator", "remainder / level.numerator", ["test_construct.py"]),
-    # the instance keeps what every packing shares, and the caller owns each list
-    ("order_items returns the shared tuple itself", "construct.py",
-     "return list(instance.heaviest_first if", "return (instance.heaviest_first if",
-     ["test_construct.py"]),
     ("shared order recomputed on every read", "model.py",
      "    @cached_property\n    def heaviest_first(", "    @property\n    def heaviest_first(",
      ["test_model.py"]),

@@ -15,7 +15,6 @@ from bibinpack.construct import (
     Ordering,
     SweepParams,
     construct_solution,
-    order_items,
     run_sweep,
 )
 from bibinpack.model import (
@@ -23,24 +22,12 @@ from bibinpack.model import (
     Item,
 )
 
-from helpers import random_instance, reference_construct, reference_sweep
+from helpers import reference_construct, reference_sweep
 
 
 def simple_instance(weights_attrs: list[tuple[int, str]], capacity: int) -> Instance:
     items = tuple(Item(w, a) for w, a in weights_attrs)
     return Instance(capacity=capacity, items=items)
-
-
-# ------------------------------------------------------ the caller's order
-
-def test_order_items_returns_a_list_the_caller_owns():
-    inst = random_instance(random.Random(1), n=20)
-    for ordering in Ordering:
-        ids = order_items(inst, ordering, random.Random(5))
-        expected = list(ids)
-        # the caller owns the list: changing it must not change the next call
-        ids.reverse()
-        assert order_items(inst, ordering, random.Random(5)) == expected
 
 
 # --------------------------------------------------- full builds and sweeps

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -143,6 +145,15 @@ def test_write_rejects_unwritable_attribute(tmp_path):
         write_instance(inst, tmp_path / "bad.txt")
 
 
+def test_write_rejects_a_capacity_too_long_to_read(tmp_path):
+    path = tmp_path / "wide.txt"
+    widest = Instance(capacity=10**50 - 1, items=(Item(1, "A"),))
+    write_instance(widest, path)
+    assert read_instance(path) == widest
+    with pytest.raises(ValueError, match="more than 50 digits"):
+        write_instance(Instance(capacity=10**50, items=(Item(1, "A"),)), path)
+
+
 def parse_error(tmp_path, text: str) -> str:
     path = tmp_path / "broken.txt"
     path.write_text(text, encoding="utf-8")
@@ -215,6 +226,47 @@ def test_read_reports_trailing_garbage(tmp_path):
 def test_read_reports_malformed_item_line(tmp_path):
     message = parse_error(tmp_path, "1 100\n10\n")
     assert message.startswith("line 2") and "weight attribute" in message
+
+
+# 0 lifts int()'s digit limit and 640 is its smallest setting
+@pytest.fixture(params=["default", 0, 640])
+def int_max_str_digits(request):
+    if request.param == "default":
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int() digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.usefixtures("int_max_str_digits")
+def test_read_reports_over_long_integers_as_too_long(tmp_path):
+    long = "9" * 5000
+    assert (parse_error(tmp_path, f"1 {long}\n10 A\n")
+            == "line 1: header field too long (5000 characters, at most 50)")
+    assert (parse_error(tmp_path, f"1 100\n{long} A\n")
+            == "line 2: weight too long (5000 characters, at most 50)")
+    # the cap counts the sign
+    assert (parse_error(tmp_path, f"1 +{'9' * 50}\n10 A\n")
+            == "line 1: header field too long (51 characters, at most 50)")
+
+
+def test_read_quotes_a_bounded_excerpt_of_long_lines(tmp_path):
+    long = "x" * 5000
+    excerpt = f"{'x' * 40!r}... (5000 characters)"
+    for text, expected in [
+        (f"1 100\n10 A\n{long}\n", f"line 3: unexpected trailing content {excerpt}"),
+        (f"1 100\n{long}\n", f"line 2: expected 'weight attribute', got {excerpt}"),
+        (f"1 100\n{long} A\n", f"line 2: non-integer weight {excerpt}"),
+        (f"1 100\n10 A\n{'x' * 40}\n", f"line 3: unexpected trailing content {'x' * 40!r}"),
+    ]:
+        message = parse_error(tmp_path, text)
+        assert message == expected and len(message) < 200
 
 
 def test_read_missing_file_raises_oserror(tmp_path):
