@@ -22,21 +22,25 @@ class InstanceFormatError(ValueError):
     """An instance file could not be parsed; the message names the line."""
 
 
-def _int_token(token: str) -> int:
-    """Read an optional sign and ASCII digits. int() alone also reads "1_000"
-    and non-ASCII digits such as "٣"; on ASCII text without "_" it reads
-    nothing else, as split() has removed the whitespace it would skip.
-
-    An integer longer than MAX_INTEGER_CHARS, its sign included, raises
-    OverflowError; any other token int() cannot read raises ValueError.
+def _integer(token: str, line_number: int, field: str, context: str | None = None) -> int:
+    """Read an optional sign and ASCII digits, or raise InstanceFormatError
+    naming the line. int() alone also reads "1_000" and non-ASCII digits such
+    as "٣"; on ASCII text without "_" it reads nothing else, as split() has
+    removed the whitespace it would skip. An integer longer than
+    MAX_INTEGER_CHARS, its sign included, is called too long; anything else
+    is quoted by context, or else by an excerpt of the token.
     """
-    if not token.isascii() or "_" in token:
-        raise ValueError(token)
-    if len(token) > MAX_INTEGER_CHARS:
-        digits = token[1:] if token[0] in "+-" else token
-        if digits.isdigit():
-            raise OverflowError(f"{len(token)} characters, at most {MAX_INTEGER_CHARS}")
-    return int(token)
+    if token.isascii() and "_" not in token:
+        if len(token) <= MAX_INTEGER_CHARS:
+            try:
+                return int(token)
+            except ValueError:
+                pass
+        elif (token[1:] if token[0] in "+-" else token).isdigit():
+            raise InstanceFormatError(f"line {line_number}: {field} too long "
+                                      f"({len(token)} characters, at most {MAX_INTEGER_CHARS})")
+    raise InstanceFormatError(
+        f"line {line_number}: non-integer {field} {context or _excerpt(token)}")
 
 
 def _excerpt(text: str) -> str:
@@ -102,14 +106,8 @@ def read_instance(path: str | Path) -> Instance:
     header = lines[0].split()
     if len(header) != 2:
         raise InstanceFormatError(f"line 1: expected 'n capacity', got {_excerpt(lines[0])}")
-    try:
-        n, capacity = _int_token(header[0]), _int_token(header[1])
-    except OverflowError as exc:
-        raise InstanceFormatError(f"line 1: header field too long ({exc})") from None
-    except ValueError:
-        raise InstanceFormatError(
-            f"line 1: non-integer header field in {_excerpt(lines[0])}"
-        ) from None
+    n, capacity = (_integer(token, 1, "header field", f"in {_excerpt(lines[0])}")
+                   for token in header)
     if n < 1:
         raise InstanceFormatError(f"line 1: item count must be >= 1, got {n}")
     if capacity < 1:
@@ -128,14 +126,7 @@ def read_instance(path: str | Path) -> Instance:
             raise InstanceFormatError(
                 f"line {line_number}: expected 'weight attribute', got {_excerpt(body[offset])}"
             )
-        try:
-            weight = _int_token(parts[0])
-        except OverflowError as exc:
-            raise InstanceFormatError(f"line {line_number}: weight too long ({exc})") from None
-        except ValueError:
-            raise InstanceFormatError(
-                f"line {line_number}: non-integer weight {_excerpt(parts[0])}"
-            ) from None
+        weight = _integer(parts[0], line_number, "weight")
         if weight < 1:
             raise InstanceFormatError(f"line {line_number}: weight must be >= 1, got {weight}")
         if weight > capacity:

@@ -131,12 +131,13 @@ class ObjectiveVector:
 
 
 def format_z2(value: Fraction) -> str:
-    """Render an exact heterogeneousness value with three decimals, rounding half-up."""
-    quotient, remainder = divmod(value.numerator * 1000, value.denominator)
+    """Render an exact heterogeneousness value with three decimals, rounding
+    half away from zero: the sign, then the magnitude rounded half-up."""
+    quotient, remainder = divmod(abs(value.numerator) * 1000, value.denominator)
     if 2 * remainder >= value.denominator:
         quotient += 1
     whole, fractional = divmod(quotient, 1000)
-    return f"{whole}.{fractional:03d}"
+    return f"{'-' if value < 0 else ''}{whole}.{fractional:03d}"
 
 
 def evaluate(solution: Solution) -> ObjectiveVector:
@@ -162,8 +163,10 @@ def validate_solution(solution: Solution) -> None:
             raise ValueError(f"bin {index} is empty")
         load = 0
         for item_id in used_bin.member_ids:
-            if not 0 <= item_id < instance.n:
-                raise ValueError(f"bin {index}: unknown item id {item_id}")
+            # require_int's rule: a bool is not an int, though True == 1
+            if (not isinstance(item_id, int) or isinstance(item_id, bool)
+                    or not 0 <= item_id < instance.n):
+                raise ValueError(f"bin {index}: unknown item id {item_id!r}")
             if item_id in seen:
                 raise ValueError(f"item {item_id} assigned to more than one bin")
             seen.add(item_id)

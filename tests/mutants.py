@@ -64,12 +64,15 @@ MUTANTS = [
     ("read_instance rejects a byte-order mark", "instances.py",
      '"utf-8-sig"', '"utf-8"', ["test_instances.py"]),
     ("read_instance reads every int() literal", "instances.py",
-     'if not token.isascii() or "_" in token:', "if False:", ["test_instances.py"]),
+     'if token.isascii() and "_" not in token:', "if True:", ["test_instances.py"]),
     # an over-long integer is called too long, and a quote of the file is cut short
     ("read_instance hands an over-long integer to int()", "instances.py",
-     "        if digits.isdigit():\n", "        if False:\n", ["test_instances.py"]),
+     "if len(token) <= MAX_INTEGER_CHARS:", "if True:", ["test_instances.py"]),
     ("integer length cap excludes its maximum", "instances.py",
-     "if len(token) > MAX_INTEGER_CHARS:", "if len(token) >= MAX_INTEGER_CHARS:",
+     "if len(token) <= MAX_INTEGER_CHARS:", "if len(token) < MAX_INTEGER_CHARS:",
+     ["test_instances.py"]),
+    ("too-long test skips the digit check", "instances.py",
+     'elif (token[1:] if token[0] in "+-" else token).isdigit():', "else:",
      ["test_instances.py"]),
     ("read_instance quotes a whole long line", "instances.py",
      "if len(text) <= EXCERPT_CHARS:", "if True:", ["test_instances.py"]),
@@ -85,6 +88,8 @@ MUTANTS = [
      ["test_model.py"]),
     ("format_z2 rounds half down", "model.py",
      "2 * remainder >= value.denominator", "2 * remainder > value.denominator", ["test_model.py"]),
+    ("format_z2 rounds the signed numerator", "model.py",
+     "divmod(abs(value.numerator) * 1000,", "divmod(value.numerator * 1000,", ["test_model.py"]),
     ("vector prints without its parentheses", "model.py",
      'return f"({self.z1}, {format_z2(self.z2)})"', 'return f"{self.z1}, {format_z2(self.z2)}"',
      ["test_model.py"]),
@@ -131,6 +136,8 @@ MUTANTS = [
     # the capacity test, one over the capacity
     ("validate_solution allows one over capacity", "model.py",
      "if load > instance.capacity:", "if load > instance.capacity + 1:", ["test_model.py"]),
+    ("validate_solution accepts a bool id", "model.py",
+     " or isinstance(item_id, bool)\n", "\n", ["test_model.py"]),
     # random_fit_bin's bisection only: best_fit_bin's line reads the same
     ("random fit skips an exact fit", "construct.py",
      '    bin qualifies.\n    """\n    by_residual = partial.by_residual\n'

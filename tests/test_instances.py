@@ -180,7 +180,8 @@ def test_read_reports_non_integer_weight(tmp_path):
 
 def test_read_reports_bad_header(tmp_path):
     assert "line 1" in parse_error(tmp_path, "just-one-token\n")
-    for header in ("x 100", "2 1_000", "٣ 100"):
+    # both fields are read before either is range-checked
+    for header in ("x 100", "2 1_000", "٣ 100", "0 x", "x 0"):
         message = parse_error(tmp_path, f"{header}\n10 A\n20 B\n")
         assert message == f"line 1: non-integer header field in {header!r}"
     assert "line 1" in parse_error(tmp_path, "")

@@ -151,10 +151,13 @@ def test_format_z2_rounds_half_up():
     assert format_z2(Fraction(15, 10000)) == "0.002"
     assert format_z2(Fraction(11115, 10000)) == "1.112"
     assert format_z2(Fraction(21, 2)) == "10.500"
+    # half away from zero: the sign, then the rounded magnitude
+    assert format_z2(Fraction(-1, 3)) == "-0.333"
+    assert format_z2(Fraction(-1, 2000)) == "-0.001"
 
 
 @settings(max_examples=2000, deadline=None)
-@given(value=st.fractions(min_value=0, max_value=1000, max_denominator=10**6))
+@given(value=st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6))
 def test_format_z2_matches_decimal_half_up(value):
     # 60 digits resolve every quotient with denominator <= 10**6 away from a
     # rounding boundary, so the quantized result is exact
@@ -193,6 +196,19 @@ def test_validator_rejects_unknown_item_id():
     inst = Instance(capacity=10, items=(Item(3, "A"), Item(4, "B")))
     with pytest.raises(ValueError, match="unknown item id 9"):
         validate_solution(Solution(bins=(Bin(frozenset({0, 9})),), instance=inst))
+    # an id must be an int and not a bool: True == 1 would otherwise pass as
+    # item 1, and the rest would raise TypeError
+    for bins, unknown in [
+        (({"a", 1},), "a"),
+        (({0.0, 1},), 0.0),
+        (({0, 1.5},), 1.5),
+        (({None, 1},), None),
+        (({True}, {0}), True),
+    ]:
+        solution = Solution(bins=tuple(Bin(frozenset(ids)) for ids in bins), instance=inst)
+        with pytest.raises(ValueError) as excinfo:
+            validate_solution(solution)
+        assert str(excinfo.value) == f"bin 0: unknown item id {unknown!r}"
 
 
 def test_validator_rejects_empty_bin():
