@@ -57,51 +57,44 @@ class SweepParams:
 class PartialSolution:
     """A packing being built one item at a time.
 
-    Bins live in parallel arrays; `by_residual` keeps packed
-    (residual << bits) | index keys sorted ascending (fullest bins first, then
-    lowest index), with `bits` the bit length of n, as a packing has at most n
-    bins. The bisection point for an item weight starts the capacity-feasible
-    region, and the first attribute-feasible key after it is the best-fit choice.
+    Each bin has one packed (residual << bits) | index key in `by_residual`,
+    its only record of its residual, with `bits` the bit length of n, as a
+    packing has at most n bins. The keys stay sorted ascending (fullest bins
+    first, then lowest index). The bisection point for an item weight starts
+    the capacity-feasible region, and the first attribute-feasible key after
+    it is the best-fit choice.
     """
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self.bits = instance.n.bit_length()
         self.index_mask = (1 << self.bits) - 1
-        self.capacity = instance.capacity
-        self.loads: list[int] = []
         self.members: list[list[int]] = []
         self.attribute_masks: list[int] = []
         self.by_residual: list[int] = []
         self.bit_of = instance.attribute_bit
 
-    def assign(self, item_id: int, index: int | None) -> None:
-        """Put item `item_id` into bin `index`, or open a new bin when None.
+    def assign(self, item_id: int, key: int | None) -> None:
+        """Put item `item_id` into the open bin whose key is `key`, or open a
+        new bin when None.
 
-        The caller's target is trusted: both bin-selection functions scan only
-        bins with room for the item and within its attribute cap.
+        The caller's key is trusted: both bin-selection functions return only
+        the key of a bin with room for the item and within its attribute cap.
         """
         item = self.instance.items[item_id]
-        weight = item.weight
-        capacity = self.capacity
         bits = self.bits
-        loads = self.loads
         by_residual = self.by_residual
-        if index is None:
+        if key is None:
             # every item fits an empty bin, and a new bin has no key to delete
-            index = len(loads)
-            load = weight
-            loads.append(load)
-            self.members.append([item_id])
-            self.attribute_masks.append(self.bit_of[item.attribute])
+            key = self.instance.capacity << bits | len(self.members)
+            self.members.append([])
+            self.attribute_masks.append(0)
         else:
-            load = loads[index]
-            del by_residual[bisect_left(by_residual, (capacity - load) << bits | index)]
-            load += weight
-            loads[index] = load
-            self.members[index].append(item_id)
-            self.attribute_masks[index] |= self.bit_of[item.attribute]
-        insort(by_residual, (capacity - load) << bits | index)
+            del by_residual[bisect_left(by_residual, key)]
+        index = key & self.index_mask
+        self.members[index].append(item_id)
+        self.attribute_masks[index] |= self.bit_of[item.attribute]
+        insort(by_residual, key - (item.weight << bits))
 
     def to_solution(self) -> Solution:
         bins = tuple(Bin(frozenset(ids)) for ids in self.members)
@@ -145,7 +138,7 @@ def draw_max_heterogeneousness(rounding: tuple[int, float | None], rng: random.R
 
 
 def best_fit_bin(partial: PartialSolution, item: Item, max_heterogeneousness: int) -> int | None:
-    """Fullest open bin that can still take the item, or None to open a new bin.
+    """Key of the fullest open bin that can still take the item; None opens a new bin.
 
     A bin qualifies when the item fits its residual capacity and inserting it
     leaves at most `max_heterogeneousness` distinct attributes. Ties on
@@ -157,9 +150,9 @@ def best_fit_bin(partial: PartialSolution, item: Item, max_heterogeneousness: in
     masks = partial.attribute_masks
     bit = partial.bit_of[item.attribute]
     for position in range(start, len(by_residual)):
-        index = by_residual[position] & index_mask
-        if (masks[index] | bit).bit_count() <= max_heterogeneousness:
-            return index
+        key = by_residual[position]
+        if (masks[key & index_mask] | bit).bit_count() <= max_heterogeneousness:
+            return key
     return None
 
 
@@ -169,7 +162,7 @@ def random_fit_bin(
     max_heterogeneousness: int,
     rng: random.Random,
 ) -> int | None:
-    """Uniform choice among the open bins that can take the item; None when none can.
+    """Key of a uniform choice among the open bins that can take the item, or None.
 
     Qualification matches best_fit_bin; a new bin is only opened when no open
     bin qualifies.
@@ -180,7 +173,7 @@ def random_fit_bin(
     masks = partial.attribute_masks
     bit = partial.bit_of[item.attribute]
     candidates = [
-        key & index_mask
+        key
         for key in by_residual[start:]
         if (masks[key & index_mask] | bit).bit_count() <= max_heterogeneousness
     ]
@@ -210,10 +203,10 @@ def construct_solution(
         item = items[item_id]
         cap = draw_max_heterogeneousness(rounding, rng)
         if random_fit:
-            target = random_fit_bin(partial, item, cap, rng)
+            key = random_fit_bin(partial, item, cap, rng)
         else:
-            target = best_fit_bin(partial, item, cap)
-        assign(item_id, target)
+            key = best_fit_bin(partial, item, cap)
+        assign(item_id, key)
     return partial.to_solution()
 
 

@@ -170,15 +170,25 @@ MUTANTS = [
     ("fixed orders swapped", "construct.py",
      "if ordering is Ordering.DECREASING\n", "if ordering is Ordering.INCREASING\n",
      ["test_construct.py"]),
+    # the selectors hand assign a key, the bin's only record of its residual
+    ("best fit hands assign an index", "construct.py",
+     "            return key\n", "            return key & index_mask\n", ["test_construct.py"]),
+    ("random fit hands assign an index", "construct.py",
+     "        key\n        for key in by_residual[start:]\n",
+     "        key & index_mask\n        for key in by_residual[start:]\n", ["test_construct.py"]),
     # PartialSolution.assign
     ("assign always pops the old key", "construct.py",
-     "            loads.append(load)\n",
-     "            del by_residual[bisect_left(by_residual, (capacity - load) << bits | index)]\n"
-     "            loads.append(load)\n", ["test_construct.py"]),
+     "            self.attribute_masks.append(0)\n",
+     "            self.attribute_masks.append(0)\n"
+     "            del by_residual[bisect_left(by_residual, key)]\n", ["test_construct.py"]),
+    ("assign keeps the old key", "construct.py",
+     "            del by_residual[bisect_left(by_residual, key)]\n", "            pass\n",
+     ["test_construct.py"]),
     ("assign overwrites the attribute mask", "construct.py",
      "self.attribute_masks[index] |= ", "self.attribute_masks[index] = ", ["test_construct.py"]),
     ("assign opens a bin at load 1", "construct.py",
-     "            load = weight\n", "            load = weight + 1\n", ["test_construct.py"]),
+     "key = self.instance.capacity << bits", "key = (self.instance.capacity - 1) << bits",
+     ["test_construct.py"]),
     # the bin-key width and the level grid
     ("key width one bit short", "construct.py",
      "instance.n.bit_length()", "instance.n.bit_length() - 1", ["test_construct.py"]),

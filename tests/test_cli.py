@@ -175,7 +175,6 @@ def test_too_many_levels_exits_one_before_the_sweep(tmp_path, monkeypatch, capsy
 
     def stub(instance, heuristics, orderings, params, out_dir):
         started.append(params.step)
-        return out_dir / "results.csv"
 
     monkeypatch.setattr(cli, "run_experiment", stub)
     out = tmp_path / "x"
